@@ -30,8 +30,22 @@ def check_s1(bq: BoundQuiver) -> list[str]:
     ]
 
 
-def _two_path_free(bq: BoundQuiver, first: str, second: str) -> bool:
-    return not in_ideal(bq, Path((first, second)))
+def _side_violations(bq: BoundQuiver, in_ideal_pairs: bool) -> list[tuple[str, str]]:
+    """Arrows with more than one continuation on a side whose two-path is
+    in the ideal (``in_ideal_pairs``) or relation-free (otherwise)."""
+
+    def counted(first: str, second: str) -> bool:
+        return in_ideal(bq, Path((first, second))) == in_ideal_pairs
+
+    bad: list[tuple[str, str]] = []
+    for a in bq.arrows:
+        succs = [b for b in bq.out_arrows[a.target] if counted(a.id, b.id)]
+        if len(succs) > 1:
+            bad.append((a.id, "R"))
+        preds = [g for g in bq.in_arrows[a.source] if counted(g.id, a.id)]
+        if len(preds) > 1:
+            bad.append((a.id, "L"))
+    return bad
 
 
 def check_s2(bq: BoundQuiver) -> list[tuple[str, str]]:
@@ -40,27 +54,7 @@ def check_s2(bq: BoundQuiver) -> list[tuple[str, str]]:
     For each arrow x the successors y with x·y outside the ideal must number
     at most one (side "R"), and dually for predecessors (side "L").
     """
-    bad: list[tuple[str, str]] = []
-    for a in bq.arrows:
-        succs = [b for b in bq.out_arrows[a.target] if _two_path_free(bq, a.id, b.id)]
-        if len(succs) > 1:
-            bad.append((a.id, "R"))
-        preds = [g for g in bq.in_arrows[a.source] if _two_path_free(bq, g.id, a.id)]
-        if len(preds) > 1:
-            bad.append((a.id, "L"))
-    return bad
-
-
-def _gentle_violations(bq: BoundQuiver) -> list[tuple[str, str]]:
-    bad: list[tuple[str, str]] = []
-    for a in bq.arrows:
-        blocked_r = [b for b in bq.out_arrows[a.target] if not _two_path_free(bq, a.id, b.id)]
-        if len(blocked_r) > 1:
-            bad.append((a.id, "R"))
-        blocked_l = [g for g in bq.in_arrows[a.source] if not _two_path_free(bq, g.id, a.id)]
-        if len(blocked_l) > 1:
-            bad.append((a.id, "L"))
-    return bad
+    return _side_violations(bq, in_ideal_pairs=False)
 
 
 def classify(bq: BoundQuiver) -> Classification:
@@ -78,7 +72,7 @@ def classify(bq: BoundQuiver) -> Classification:
     is_almost_gentle = not s2 and not long_rels
     is_sag = is_string and is_almost_gentle
 
-    gentle_bad = _gentle_violations(bq) if is_sag else []
+    gentle_bad = _side_violations(bq, in_ideal_pairs=True) if is_sag else []
     for arrow, side in gentle_bad:
         violations.append(("gentle-" + side, arrow))
     is_gentle = is_sag and not gentle_bad

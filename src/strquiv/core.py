@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import (
     DanglingEndpoint,
@@ -260,41 +260,72 @@ def word_in_ideal(bq: BoundQuiver, word: tuple[str, ...]) -> bool:
     return False
 
 
-def _product_edges(bq: BoundQuiver, node: tuple[str, int]) -> Iterator[tuple[Arrow, tuple[str, int]]]:
+def depth_first(
+    starts: Iterable[Hashable],
+    successors: Callable[[Hashable], Iterable[tuple[object, Hashable]]],
+) -> tuple[list | None, list]:
+    """Iterative depth-first search from ``starts``, in order.
+
+    ``successors(node)`` yields ``(label, next_node)`` edges.  Returns the
+    labels of the edges around the first cycle met, or ``None`` when the
+    graph reachable from ``starts`` is acyclic, together with the nodes
+    finished so far in post-order (every successor of a node comes before
+    it).
+    """
+    ON_STACK, DONE = 1, 2
+    color: dict = {}
+    order: list = []
+    for start in starts:
+        if start in color:
+            continue
+        color[start] = ON_STACK
+        # entries: (node, label of the edge that entered it, its edge iterator)
+        stack = [(start, None, iter(successors(start)))]
+        while stack:
+            node, _, edges = stack[-1]
+            for label, nxt in edges:
+                c = color.get(nxt)
+                if c == ON_STACK:
+                    i = next(i for i, entry in enumerate(stack) if entry[0] == nxt)
+                    return [entry[1] for entry in stack[i + 1 :]] + [label], order
+                if c is None:
+                    color[nxt] = ON_STACK
+                    stack.append((nxt, label, iter(successors(nxt))))
+                    break
+            else:
+                color[node] = DONE
+                order.append(node)
+                stack.pop()
+    return None, order
+
+
+def _product_edges(bq: BoundQuiver, node: tuple[str, int]) -> Iterator[tuple[str, tuple[str, int]]]:
     v, state = node
     for a in bq.out_arrows[v]:
         nxt = bq.automaton.step(state, a.id)
         if nxt is not None:
-            yield a, (a.target, nxt)
+            yield a.id, (a.target, nxt)
+
+
+def _product_search(bq: BoundQuiver) -> tuple[list[str] | None, list[tuple[str, int]]]:
+    """Depth-first search of the quiver-automaton product graph from every
+    ``(v, 0)`` in vertex order, each vertex's arrows in declaration order."""
+    return depth_first(((v, 0) for v in bq.vertices), lambda node: _product_edges(bq, node))
+
+
+def free_cycle(bq: BoundQuiver) -> list[str] | None:
+    """Arrows of the first relation-free oriented cycle found, or None."""
+    return _product_search(bq)[0]
 
 
 def is_finite_dimensional(bq: BoundQuiver) -> bool:
     """True iff every oriented cycle is blocked by the relations, i.e. the
     quiver-automaton product graph is acyclic."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[tuple[str, int], int] = {}
-    for v in bq.vertices:
-        start = (v, 0)
-        if color.get(start, WHITE) != WHITE:
-            continue
-        stack: list[tuple[tuple[str, int], Iterator]] = [(start, _product_edges(bq, start))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for _, nxt in it:
-                c = color.get(nxt, WHITE)
-                if c == GRAY:
-                    return False
-                if c == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, _product_edges(bq, nxt)))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return True
+    return free_cycle(bq) is None
+
+
+def _infinite(cycle: list[str]) -> InfiniteDimensional:
+    return InfiniteDimensional("relation-free oriented cycle exists: " + " ".join(cycle))
 
 
 def enumerate_paths(bq: BoundQuiver, frm: str, to: str) -> list[Path]:
@@ -302,21 +333,16 @@ def enumerate_paths(bq: BoundQuiver, frm: str, to: str) -> list[Path]:
     broken by arrow declaration order."""
     if frm not in bq.vertex_index or to not in bq.vertex_index:
         raise InvalidPath(f"unknown vertex in ({frm!r}, {to!r})")
-    if not is_finite_dimensional(bq):
-        raise InfiniteDimensional("relation-free oriented cycle exists")
+    cycle = free_cycle(bq)
+    if cycle is not None:
+        raise _infinite(cycle)
     found: list[Path] = []
-
-    def dfs(v: str, state: int, word: list[str]) -> None:
-        if v == to:
-            found.append(bq.trivial_path(v) if not word else Path(tuple(word)))
-        for a in bq.out_arrows[v]:
-            nxt = bq.automaton.step(state, a.id)
-            if nxt is not None:
-                word.append(a.id)
-                dfs(a.target, nxt, word)
-                word.pop()
-
-    dfs(frm, 0, [])
+    stack: list[tuple[tuple[str, int], tuple[str, ...]]] = [((frm, 0), ())]
+    while stack:
+        node, word = stack.pop()
+        if node[0] == to:
+            found.append(Path(word) if word else bq.trivial_path(to))
+        stack.extend((nxt, word + (x,)) for x, nxt in _product_edges(bq, node))
     idx = bq.arrow_index
     found.sort(key=lambda p: (len(p), tuple(idx[x] for x in p.arrows)))
     return found
@@ -324,17 +350,12 @@ def enumerate_paths(bq: BoundQuiver, frm: str, to: str) -> list[Path]:
 
 def algebra_dim(bq: BoundQuiver) -> int:
     """Number of relation-free paths, trivial paths included."""
-    if not is_finite_dimensional(bq):
-        raise InfiniteDimensional("relation-free oriented cycle exists")
-    memo: dict[tuple[str, int], int] = {}
-
-    def count(node: tuple[str, int]) -> int:
-        if node in memo:
-            return memo[node]
-        total = 1
-        for _, nxt in _product_edges(bq, node):
-            total += count(nxt)
-        memo[node] = total
-        return total
-
-    return sum(count((v, 0)) for v in bq.vertices)
+    cycle, order = _product_search(bq)
+    if cycle is not None:
+        raise _infinite(cycle)
+    # paths starting at each product node, summed over its successors,
+    # which post-order has already counted
+    count: dict[tuple[str, int], int] = {}
+    for node in order:
+        count[node] = 1 + sum(count[nxt] for _, nxt in _product_edges(bq, node))
+    return sum(count[(v, 0)] for v in bq.vertices)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .core import BoundQuiver, Path, in_ideal
 from .errors import NotForbiddenCycle
 
@@ -81,29 +79,28 @@ def _cycle_problems(bq: BoundQuiver, arrows: tuple[str, ...]) -> list[str]:
     return problems
 
 
-def _canonical_rotation(bq: BoundQuiver, arrows: tuple[str, ...]) -> tuple[str, ...]:
-    keys = [bq.arrow_index[x] for x in arrows]
-    t = keys.index(min(keys))
-    return arrows[t:] + arrows[:t]
-
-
 def forbidden_cycles(bq: BoundQuiver) -> list[ForbiddenCycle]:
     """All forbidden cycles, canonically rotated, in deterministic order."""
-    relation_digraph = nx.DiGraph()
-    relation_digraph.add_nodes_from(a.id for a in bq.arrows)
-    for a in bq.arrows:
-        for b in bq.out_arrows[a.target]:
-            if _pair_in_ideal(bq, a.id, b.id):
-                relation_digraph.add_edge(a.id, b.id)
+    idx = bq.arrow_index
+    succs = {
+        a.id: [b.id for b in bq.out_arrows[a.target] if _pair_in_ideal(bq, a.id, b.id)]
+        for a in bq.arrows
+    }
     out: list[ForbiddenCycle] = []
-    seen: set[tuple[str, ...]] = set()
-    for cyc in nx.simple_cycles(relation_digraph):
-        arrows = _canonical_rotation(bq, tuple(cyc))
-        if arrows in seen or _cycle_problems(bq, arrows):
-            continue
-        seen.add(arrows)
-        out.append(ForbiddenCycle(arrows))
-    out.sort(key=lambda c: (len(c), tuple(bq.arrow_index[x] for x in c.arrows)))
+    # Each cycle of relations on distinct vertices is met once, from its
+    # first-declared arrow, which makes it canonically rotated already.
+    for first in bq.arrows:
+        stack = [(first.id,)]
+        while stack:
+            path = stack.pop()
+            visited = _cycle_vertices(bq, path)
+            for x in succs[path[-1]]:
+                if x == first.id:
+                    if not _cycle_problems(bq, path):
+                        out.append(ForbiddenCycle(path))
+                elif idx[x] > idx[first.id] and bq.arrow_by_id[x].source not in visited:
+                    stack.append(path + (x,))
+    out.sort(key=lambda c: (len(c), tuple(idx[x] for x in c.arrows)))
     return out
 
 

@@ -14,10 +14,8 @@ import random
 import string as _string
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .classify import check_s2, classify
-from .core import Arrow, BoundQuiver, Path, in_ideal, is_finite_dimensional
+from .core import Arrow, BoundQuiver, Path, free_cycle, in_ideal, is_finite_dimensional
 from .errors import GenerationExhausted
 
 _REJECTION_BUDGET = 200
@@ -63,31 +61,6 @@ def _sample_quiver(rng: random.Random, spec: RandomSagSpec) -> BoundQuiver | Non
     return BoundQuiver.build(vertices, tuple(arrows), tuple(sorted(relations)))
 
 
-def _find_free_cycle(bq: BoundQuiver) -> list[str] | None:
-    """Arrows of some relation-free directed cycle, or None."""
-    product = nx.MultiDiGraph()
-    for v in bq.vertices:
-        product.add_node((v, 0))
-    frontier = [(v, 0) for v in bq.vertices]
-    seen = set(frontier)
-    while frontier:
-        vertex, state = frontier.pop()
-        for a in bq.out_arrows[vertex]:
-            nxt = bq.automaton.step(state, a.id)
-            if nxt is None:
-                continue
-            node = (a.target, nxt)
-            product.add_edge((vertex, state), node, arrow=a.id)
-            if node not in seen:
-                seen.add(node)
-                frontier.append(node)
-    try:
-        cycle = nx.find_cycle(product)
-    except nx.NetworkXNoCycle:
-        return None
-    return [product.edges[u, v, k]["arrow"] for u, v, k in cycle]
-
-
 def _with_relations(bq: BoundQuiver, extra: set[tuple[str, str]]) -> BoundQuiver:
     merged = sorted(set(bq.relations) | extra)
     return BoundQuiver.build(bq.vertices, bq.arrows, tuple(merged))
@@ -96,7 +69,7 @@ def _with_relations(bq: BoundQuiver, extra: set[tuple[str, str]]) -> BoundQuiver
 def _repair(bq: BoundQuiver) -> BoundQuiver:
     # Cut every relation-free directed cycle with a new length-2 relation.
     while True:
-        cycle = _find_free_cycle(bq)
+        cycle = free_cycle(bq)
         if cycle is None:
             break
         follower = cycle[1] if len(cycle) > 1 else cycle[0]

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .classify import classify
-from .core import BoundQuiver, Path, in_ideal, is_finite_dimensional
+from .core import BoundQuiver, Path, depth_first, in_ideal, is_finite_dimensional
 from .errors import InfiniteDimensional, NotStringPair, UnknownArrow
 
 
@@ -151,14 +151,6 @@ def validate_string(bq: BoundQuiver, w: Walk) -> bool:
     return not string_problems(bq, w)
 
 
-def _is_primitive(letters: tuple[Letter, ...]) -> bool:
-    n = len(letters)
-    for d in range(1, n):
-        if n % d == 0 and letters == letters[:d] * (n // d):
-            return False
-    return True
-
-
 def band_problems(bq: BoundQuiver, cw: CyclicWalk) -> list[str]:
     """Diagnostics for why ``cw`` fails to be a band; empty means valid."""
     _check_arrows_known(bq, cw.letters)
@@ -173,7 +165,7 @@ def band_problems(bq: BoundQuiver, cw: CyclicWalk) -> list[str]:
             problems.append(f"backtrack at cyclic position {i}")
     if problems:
         return problems
-    if not _is_primitive(letters):
+    if _primitive_root(letters) != letters:
         problems.append("cyclic walk is a proper power of a shorter walk")
 
     directions = {l.inv for l in letters}
@@ -240,87 +232,17 @@ def canonical_band(bq: BoundQuiver, cw: CyclicWalk) -> CyclicWalk:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
-
-
-def _string_extensions(bq: BoundQuiver, w: Walk) -> Iterator[Letter]:
-    """Letters that extend a valid string to a valid string (appended)."""
-    end = w.target(bq)
-    last = w.letters[-1] if w.letters else None
-    for a in bq.out_arrows[end]:
-        cand = Letter(a.id, False)
-        if last is not None and cand == last.inverse():
-            continue
-        if not _extension_run_ok(bq, w.letters, cand):
-            continue
-        yield cand
-    for a in bq.in_arrows[end]:
-        cand = Letter(a.id, True)
-        if last is not None and cand == last.inverse():
-            continue
-        if not _extension_run_ok(bq, w.letters, cand):
-            continue
-        yield cand
-
-
-def _extension_run_ok(
-    bq: BoundQuiver, letters: tuple[Letter, ...], cand: Letter
-) -> bool:
-    """Check the final directed run stays relation-free after appending cand."""
-    i = len(letters)
-    while i > 0 and letters[i - 1].inv == cand.inv:
-        i -= 1
-    run = letters[i:] + (cand,)
-    return not in_ideal(bq, _run_path(run, 0, len(run), cand.inv))
-
-
-def enumerate_strings(bq: BoundQuiver, max_letters: int) -> list[Walk]:
-    """All equivalence classes of strings with at most ``max_letters`` letters.
-
-    Deterministic order: trivial strings in vertex order, then nontrivial
-    canonical forms sorted by (length, letter keys).
-    """
-    _require_string_pair(bq)
-    out: list[Walk] = [Walk((), v) for v in bq.vertices]
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    found: list[Walk] = []
-
-    def extend(w: Walk) -> None:
-        if len(w) >= 1:
-            cano = canonical_string(bq, w)
-            key = _walk_key(bq, cano.letters)
-            if key not in seen:
-                seen.add(key)
-                found.append(cano)
-        if len(w) >= max_letters:
-            return
-        for cand in _string_extensions(bq, w):
-            extend(Walk(w.letters + (cand,), None))
-
-    for v in bq.vertices:
-        extend(Walk((), v))
-    found.sort(key=lambda w: (len(w), _walk_key(bq, w.letters)))
-    return out + found
-
-
-# ---------------------------------------------------------------------------
-# Band existence and representation type
+# The run-aware transition graph of walks
 #
-# Nodes of the search graph are (letter, forward-state, backward-state):
-# the two Aho-Corasick states track forbidden factors of the current
-# forward run and of the reversed word of the current inverse run.  A plain
-# letter-pair digraph would miss relations of length >= 3 (three pairwise
-# relation-free arrows can still compose into a forbidden path), so the
-# automaton states are carried along the walk.
+# Nodes are (letter, forward-state, backward-state): the two Aho-Corasick
+# states track forbidden factors of the current forward run and of the
+# reversed word of the current inverse run.  A plain letter-pair digraph
+# would miss relations of length >= 3 (three pairwise relation-free arrows
+# can still compose into a forbidden path), so the automaton states are
+# carried along the walk.  The walks read off paths from initial nodes are
+# exactly the nontrivial strings.
 
 _Node = tuple[Letter, int, int]
-
-
-def _letter_order(bq: BoundQuiver) -> list[Letter]:
-    letters = [Letter(a.id, False) for a in bq.arrows]
-    letters += [Letter(a.id, True) for a in bq.arrows]
-    letters.sort(key=lambda l: _letter_key(bq, l))
-    return letters
 
 
 def _node_successors(bq: BoundQuiver, node: _Node) -> Iterator[_Node]:
@@ -346,29 +268,62 @@ def _node_successors(bq: BoundQuiver, node: _Node) -> Iterator[_Node]:
         yield (cand, 0, nxt)
 
 
-def _initial_node(bq: BoundQuiver, letter: Letter) -> _Node | None:
-    if letter.inv:
-        st = bq.reversed_automaton.step(0, letter.arrow)
-        return None if st is None else (letter, 0, st)
-    st = bq.automaton.step(0, letter.arrow)
-    return None if st is None else (letter, st, 0)
+def _initial_nodes(bq: BoundQuiver) -> list[_Node]:
+    """Nodes that start a fresh run, one per letter, in letter-key order."""
+    nodes: list[_Node] = []
+    for a in bq.arrows:
+        st = bq.automaton.step(0, a.id)
+        if st is not None:
+            nodes.append((Letter(a.id, False), st, 0))
+        st = bq.reversed_automaton.step(0, a.id)
+        if st is not None:
+            nodes.append((Letter(a.id, True), 0, st))
+    return nodes
+
+
+# ---------------------------------------------------------------------------
+# Enumeration
+
+
+def enumerate_strings(bq: BoundQuiver, max_letters: int) -> list[Walk]:
+    """All equivalence classes of strings with at most ``max_letters`` letters.
+
+    Deterministic order: trivial strings in vertex order, then nontrivial
+    canonical forms sorted by (length, letter keys).
+    """
+    _require_string_pair(bq)
+    out: list[Walk] = [Walk((), v) for v in bq.vertices]
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    found: list[Walk] = []
+    stack = [(node, (node[0],)) for node in _initial_nodes(bq)] if max_letters >= 1 else []
+    while stack:
+        node, letters = stack.pop()
+        cano = canonical_string(bq, Walk(letters))
+        key = _walk_key(bq, cano.letters)
+        if key not in seen:
+            seen.add(key)
+            found.append(cano)
+        if len(letters) < max_letters:
+            stack.extend((nxt, letters + (nxt[0],)) for nxt in _node_successors(bq, node))
+    found.sort(key=lambda w: (len(w), _walk_key(bq, w.letters)))
+    return out + found
+
+
+# ---------------------------------------------------------------------------
+# Band existence and representation type
+#
+# A cycle must return to the same node, not merely the same letter: state
+# continuity across the wrap is what guarantees that every power of the
+# cycle stays relation-free.  Every mixed-direction cycle contains a run
+# boundary and hence an initial node, and one-direction cycles are ruled
+# out by the finite-dimensionality precondition, so searching from initial
+# nodes is complete.
 
 
 def _find_product_cycle(bq: BoundQuiver) -> list[Letter] | None:
-    """Shortest letter cycle in the run-aware transition graph, or None.
-
-    A cycle must return to the same product node, not merely the same
-    letter: state continuity across the wrap is what guarantees that every
-    power of the cycle stays relation-free.  Every mixed-direction cycle
-    contains a run boundary and hence an initial (fresh-run) node, and
-    one-direction cycles are ruled out by the finite-dimensionality
-    precondition, so BFS from initial nodes is complete.
-    """
+    """Shortest letter cycle through an initial node, or None."""
     best: list[Letter] | None = None
-    for start in _letter_order(bq):
-        init = _initial_node(bq, start)
-        if init is None:
-            continue
+    for init in _initial_nodes(bq):
         parent: dict[_Node, _Node | None] = {init: None}
         frontier = [init]
         hit: _Node | None = None
@@ -406,22 +361,25 @@ def _primitive_root(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return letters
 
 
-def find_band(bq: BoundQuiver) -> CyclicWalk | None:
-    """A shortest-cycle band witness, or None when no band exists."""
+def band_exists(bq: BoundQuiver) -> bool:
+    """True iff the transition graph reachable from initial nodes has a cycle."""
     _require_string_pair(bq)
     if not is_finite_dimensional(bq):
         raise InfiniteDimensional("algebra is infinite-dimensional")
-    cycle = _find_product_cycle(bq)
-    if cycle is None:
+    cycle, _ = depth_first(
+        _initial_nodes(bq), lambda node: ((nxt[0], nxt) for nxt in _node_successors(bq, node))
+    )
+    return cycle is not None
+
+
+def find_band(bq: BoundQuiver) -> CyclicWalk | None:
+    """A shortest-cycle band witness, or None when no band exists."""
+    if not band_exists(bq):
         return None
-    cw = CyclicWalk(_primitive_root(tuple(cycle)))
+    cw = CyclicWalk(_primitive_root(tuple(_find_product_cycle(bq))))
     problems = band_problems(bq, cw)
     assert not problems, f"detector produced an invalid band: {problems}"
     return canonical_band(bq, cw)
-
-
-def band_exists(bq: BoundQuiver) -> bool:
-    return find_band(bq) is not None
 
 
 def representation_type(bq: BoundQuiver) -> str:

@@ -111,3 +111,14 @@ class TestPathsAndDim:
             for w in fig5.vertices
         )
         assert algebra_dim(fig5) == total == 27
+
+
+def test_infinite_dimensional_names_the_cycle():
+    # a b is a relation, so the only relation-free cycle is a c
+    bq = BoundQuiver.build(
+        ["1", "2"],
+        [Arrow("a", "1", "2"), Arrow("b", "2", "1"), Arrow("c", "2", "1")],
+        [("a", "b")],
+    )
+    with pytest.raises(InfiniteDimensional, match=r"cycle exists: a c$"):
+        algebra_dim(bq)

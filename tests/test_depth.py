@@ -1,0 +1,49 @@
+"""Searches on the linear quiver A_3000, deeper than Python's recursion limit."""
+
+import pytest
+
+from strquiv import (
+    Arrow,
+    BoundQuiver,
+    algebra_dim,
+    enumerate_paths,
+    find_band,
+    format_quiver,
+    representation_type,
+)
+from strquiv.cli import run
+
+N = 3000  # arrows; the quiver has N + 1 vertices
+DIM = (N + 1) * (N + 2) // 2
+
+
+@pytest.fixture(scope="module")
+def linear():
+    return BoundQuiver.build(
+        [str(i) for i in range(N + 1)],
+        [Arrow(f"a{i}", str(i), str(i + 1)) for i in range(N)],
+    )
+
+
+def test_algebra_dim(linear):
+    assert algebra_dim(linear) == DIM == 4_504_501
+
+
+def test_representation_type(linear):
+    assert representation_type(linear) == "finite"
+
+
+def test_no_band(linear):
+    assert find_band(linear) is None
+
+
+def test_one_path_end_to_end(linear):
+    paths = enumerate_paths(linear, "0", str(N))
+    assert len(paths) == 1 and len(paths[0]) == N
+
+
+def test_cli_dim(linear, tmp_path, capsys):
+    path = tmp_path / "linear.quiver"
+    path.write_text(format_quiver(linear))
+    assert run(["dim", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == str(DIM)

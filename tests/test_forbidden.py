@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from strquiv import (
@@ -104,3 +107,54 @@ class TestPerfectIndex:
         lf = left_forbidden_arrows(fig5)
         for cycle in forbidden_cycles(fig5):
             assert set(cycle.arrows) <= lf
+
+
+def _brute_force_cycles(arrows, pairs):
+    """Forbidden cycles by trying every arrow sequence, canonically rotated.
+
+    ``arrows`` are (id, source, target) triples in declaration order and
+    ``pairs`` the length-2 relations; shares no code with strquiv.forbidden.
+    """
+    order = {x: i for i, (x, _, _) in enumerate(arrows)}
+    ends = {x: (s, t) for x, s, t in arrows}
+    n_vertices = len({v for _, s, t in arrows for v in (s, t)})
+    found = set()
+    for k in range(1, n_vertices + 1):
+        for cyc in itertools.permutations(ends, k):
+            on_cycle = [ends[x][0] for x in cyc]
+            if len(set(on_cycle)) < k:
+                continue
+            nxt = cyc[1:] + cyc[:1]
+            if any(ends[x][1] != ends[y][0] or (x, y) not in pairs for x, y in zip(cyc, nxt)):
+                continue
+            neighbours = {frozenset(ends[x]) for x in cyc}
+            if any(
+                s != t and s in on_cycle and t in on_cycle and frozenset((s, t)) not in neighbours
+                for _, s, t in arrows
+            ):
+                continue
+            first = min(range(k), key=lambda i: order[cyc[i]])
+            found.add(cyc[first:] + cyc[:first])
+    return found
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matches_brute_force(seed):
+    # a ring through some vertices plus a few random arrows, which often
+    # join two ring vertices as chords
+    rng = random.Random(seed)
+    vertices = [str(i) for i in range(rng.randint(1, 6))]
+    ring = rng.sample(vertices, rng.randint(1, len(vertices)))
+    ends = list(zip(ring, ring[1:] + ring[:1]))
+    ends += [(rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(ends)
+    arrows = [(f"x{i}", s, t) for i, (s, t) in enumerate(ends)]
+    density = rng.choice([0.5, 0.8, 1.0])
+    pairs = {
+        (x, y)
+        for x, _, t in arrows
+        for y, s, _ in arrows
+        if t == s and rng.random() < density
+    }
+    bq = BoundQuiver.build(vertices, [Arrow(*a) for a in arrows], sorted(pairs))
+    assert {c.arrows for c in forbidden_cycles(bq)} == _brute_force_cycles(arrows, pairs)
