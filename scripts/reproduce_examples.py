@@ -83,12 +83,12 @@ def main() -> None:
           f"B^x valid on CMA: {validate_band(tr5.quiver, lifted)}")
 
     print("\n== fig5: endomorphism dimension identity on the perfect index ==")
-    arrows = sorted(perfect.arrows)
+    arrows = sorted(perfect.arrows, key=fig5.arrow_index.__getitem__)
     for n in range(len(arrows) + 1):
         for subset in itertools.combinations(arrows, n):
             rep = verify_endo_dimension(fig5, validate_index(fig5, subset))
             mark = "ok" if rep.dimensions_match else "MISMATCH"
-            print(f"  R={set(subset) or '{}'}: endo={rep.dim_source_endo} "
+            print(f"  R={{{','.join(subset)}}}: endo={rep.dim_source_endo} "
                   f"transformed={rep.dim_transformed}  {mark}")
 
     print("\n== fig5: the identity fails outside the perfect index ==")

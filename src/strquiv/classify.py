@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import BoundQuiver, Path, in_ideal
+from .core import BoundQuiver
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ def _side_violations(bq: BoundQuiver, in_ideal_pairs: bool) -> list[tuple[str, s
     in the ideal (``in_ideal_pairs``) or relation-free (otherwise)."""
 
     def counted(first: str, second: str) -> bool:
-        return in_ideal(bq, Path((first, second))) == in_ideal_pairs
+        return ((first, second) in bq.relation_pairs) == in_ideal_pairs
 
     bad: list[tuple[str, str]] = []
     for a in bq.arrows:
@@ -58,8 +58,15 @@ def check_s2(bq: BoundQuiver) -> list[tuple[str, str]]:
 
 
 def classify(bq: BoundQuiver) -> Classification:
+    """The axioms ``bq`` satisfies, with a witness for each one it fails."""
+    return bq.classification
+
+
+def _classification(bq: BoundQuiver) -> Classification:
+    """Compute :attr:`BoundQuiver.classification`; the property caches it."""
     violations: list[tuple[str, object]] = []
-    for v in check_s1(bq):
+    s1 = check_s1(bq)
+    for v in s1:
         violations.append(("degree", v))
     s2 = check_s2(bq)
     for arrow, side in s2:
@@ -68,7 +75,7 @@ def classify(bq: BoundQuiver) -> Classification:
     for rel in long_rels:
         violations.append(("relation-length", rel))
 
-    is_string = not check_s1(bq) and not s2
+    is_string = not s1 and not s2
     is_almost_gentle = not s2 and not long_rels
     is_sag = is_string and is_almost_gentle
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 
 from .errors import (
     DanglingEndpoint,
@@ -22,6 +22,9 @@ from .errors import (
     NonComposableRelation,
     RelationTooShort,
 )
+
+if TYPE_CHECKING:
+    from .classify import Classification
 
 TOKEN_RE = re.compile(r"^[A-Za-z0-9_']+$")
 
@@ -194,6 +197,29 @@ class BoundQuiver:
     def max_relation_length(self) -> int:
         return max((len(r) for r in self.relations), default=0)
 
+    @cached_property
+    def relation_pairs(self) -> frozenset[tuple[str, str]]:
+        """The length-2 relations.  Relations are factor-minimal and have
+        length >= 2, so a two-arrow path lies in the ideal iff it is one."""
+        return frozenset(r for r in self.relations if len(r) == 2)
+
+    @cached_property
+    def left_forbidden_arrows(self) -> frozenset[str]:
+        """Arrows that head a length-2 relation."""
+        return frozenset(first for first, _ in self.relation_pairs)
+
+    @cached_property
+    def relation_free_cycle(self) -> tuple[str, ...] | None:
+        """Arrows of the first relation-free oriented cycle found, or None."""
+        cycle = _product_search(self)[0]
+        return None if cycle is None else tuple(cycle)
+
+    @cached_property
+    def classification(self) -> "Classification":
+        from .classify import _classification  # classify imports this module
+
+        return _classification(self)
+
     # -- path helpers --
 
     def trivial_path(self, v: str) -> Path:
@@ -221,22 +247,19 @@ class BoundQuiver:
 
 
 def _factor_minimal(rels: list[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
-    """Drop duplicates and any generator containing another as a contiguous factor."""
-    unique: list[tuple[str, ...]] = []
-    for r in rels:
-        if r not in unique:
-            unique.append(r)
-    kept = [
+    """Drop duplicates and any generator containing another as a contiguous
+    factor, keeping first-occurrence order."""
+    unique = dict.fromkeys(rels)
+    return tuple(
         r
         for r in unique
-        if not any(s != r and _is_factor(s, r) for s in unique)
-    ]
-    return tuple(kept)
-
-
-def _is_factor(needle: tuple[str, ...], haystack: tuple[str, ...]) -> bool:
-    n, h = len(needle), len(haystack)
-    return any(haystack[i : i + n] == needle for i in range(h - n + 1))
+        if not any(
+            r[i:j] in unique
+            for i in range(len(r))
+            for j in range(i + 2, len(r) + 1)
+            if j - i < len(r)
+        )
+    )
 
 
 def in_ideal(bq: BoundQuiver, p: Path) -> bool:
@@ -315,16 +338,17 @@ def _product_search(bq: BoundQuiver) -> tuple[list[str] | None, list[tuple[str, 
 
 def free_cycle(bq: BoundQuiver) -> list[str] | None:
     """Arrows of the first relation-free oriented cycle found, or None."""
-    return _product_search(bq)[0]
+    cycle = bq.relation_free_cycle
+    return None if cycle is None else list(cycle)
 
 
 def is_finite_dimensional(bq: BoundQuiver) -> bool:
     """True iff every oriented cycle is blocked by the relations, i.e. the
     quiver-automaton product graph is acyclic."""
-    return free_cycle(bq) is None
+    return bq.relation_free_cycle is None
 
 
-def _infinite(cycle: list[str]) -> InfiniteDimensional:
+def _infinite(cycle: Iterable[str]) -> InfiniteDimensional:
     return InfiniteDimensional("relation-free oriented cycle exists: " + " ".join(cycle))
 
 
@@ -333,7 +357,7 @@ def enumerate_paths(bq: BoundQuiver, frm: str, to: str) -> list[Path]:
     broken by arrow declaration order."""
     if frm not in bq.vertex_index or to not in bq.vertex_index:
         raise InvalidPath(f"unknown vertex in ({frm!r}, {to!r})")
-    cycle = free_cycle(bq)
+    cycle = bq.relation_free_cycle
     if cycle is not None:
         raise _infinite(cycle)
     found: list[Path] = []

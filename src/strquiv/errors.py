@@ -41,7 +41,13 @@ class InfiniteDimensional(QuiverError):
 
 
 class NotStringPair(QuiverError):
-    pass
+    """The quiver fails (S1) or (S2); ``violations`` holds the witnesses as
+    ``(kind, vertex or arrow)`` pairs, as in ``Classification.violations``."""
+
+    def __init__(self, violations: tuple[tuple[str, object], ...]):
+        listed = "; ".join(f"{kind} {witness}" for kind, witness in violations)
+        super().__init__(f"bound quiver fails the string-pair axioms: {listed}")
+        self.violations = violations
 
 
 class UnknownArrow(QuiverError):

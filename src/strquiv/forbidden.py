@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BoundQuiver, Path, in_ideal
+from .core import BoundQuiver
 from .errors import NotForbiddenCycle
 
 
@@ -30,17 +30,9 @@ class PerfectIndex:
     cycles: tuple[ForbiddenCycle, ...]
 
 
-def _pair_in_ideal(bq: BoundQuiver, first: str, second: str) -> bool:
-    return in_ideal(bq, Path((first, second)))
-
-
 def left_forbidden_arrows(bq: BoundQuiver) -> set[str]:
     """Arrows that head some relation: alpha with alpha·beta in the ideal."""
-    out: set[str] = set()
-    for a in bq.arrows:
-        if any(_pair_in_ideal(bq, a.id, b.id) for b in bq.out_arrows[a.target]):
-            out.add(a.id)
-    return out
+    return set(bq.left_forbidden_arrows)
 
 
 def _cycle_vertices(bq: BoundQuiver, arrows: tuple[str, ...]) -> list[str]:
@@ -60,7 +52,7 @@ def _cycle_problems(bq: BoundQuiver, arrows: tuple[str, ...]) -> list[str]:
         b = bq.arrow_by_id[arrows[(i + 1) % n]]
         if a.target != b.source:
             problems.append(f"arrows {a.id} and {b.id} do not compose")
-        elif not _pair_in_ideal(bq, a.id, b.id):
+        elif (a.id, b.id) not in bq.relation_pairs:
             problems.append(f"product {a.id}{b.id} is not in the ideal")
     vertices = _cycle_vertices(bq, arrows)
     if len(set(vertices)) != n:
@@ -83,7 +75,7 @@ def forbidden_cycles(bq: BoundQuiver) -> list[ForbiddenCycle]:
     """All forbidden cycles, canonically rotated, in deterministic order."""
     idx = bq.arrow_index
     succs = {
-        a.id: [b.id for b in bq.out_arrows[a.target] if _pair_in_ideal(bq, a.id, b.id)]
+        a.id: [b.id for b in bq.out_arrows[a.target] if (a.id, b.id) in bq.relation_pairs]
         for a in bq.arrows
     }
     out: list[ForbiddenCycle] = []
@@ -115,10 +107,10 @@ def is_perfect(bq: BoundQuiver, cycle: ForbiddenCycle) -> bool:
         leaving = cycle.arrows[i]
         entering = cycle.arrows[(i - 1) % n]
         for a in bq.in_arrows[vertex]:
-            if a.id not in members and _pair_in_ideal(bq, a.id, leaving):
+            if a.id not in members and (a.id, leaving) in bq.relation_pairs:
                 return False
         for b in bq.out_arrows[vertex]:
-            if b.id not in members and _pair_in_ideal(bq, entering, b.id):
+            if b.id not in members and (entering, b.id) in bq.relation_pairs:
                 return False
     return True
 

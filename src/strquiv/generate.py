@@ -14,8 +14,8 @@ import random
 import string as _string
 from dataclasses import dataclass
 
-from .classify import check_s2, classify
-from .core import Arrow, BoundQuiver, Path, free_cycle, in_ideal, is_finite_dimensional
+from .classify import check_s2
+from .core import Arrow, BoundQuiver, free_cycle, is_finite_dimensional
 from .errors import GenerationExhausted
 
 _REJECTION_BUDGET = 200
@@ -87,14 +87,14 @@ def _repair(bq: BoundQuiver) -> BoundQuiver:
                 free = [
                     b.id
                     for b in bq.out_arrows[a.target]
-                    if not in_ideal(bq, Path((a.id, b.id)))
+                    if (a.id, b.id) not in bq.relation_pairs
                 ]
                 extra.update((a.id, b) for b in free[1:])
             else:
                 free = [
                     g.id
                     for g in bq.in_arrows[a.source]
-                    if not in_ideal(bq, Path((g.id, a.id)))
+                    if (g.id, a.id) not in bq.relation_pairs
                 ]
                 extra.update((g, a.id) for g in free[1:])
         bq = _with_relations(bq, extra)
@@ -109,7 +109,7 @@ def gen_random_sag(spec: RandomSagSpec) -> BoundQuiver:
         if bq is None:
             continue
         bq = _repair(bq)
-        if classify(bq).is_sag and is_finite_dimensional(bq):
+        if bq.classification.is_sag and is_finite_dimensional(bq):
             return bq
     raise GenerationExhausted(
         f"no SAG quiver found for {spec} within {_REJECTION_BUDGET} attempts"

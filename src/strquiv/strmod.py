@@ -5,11 +5,13 @@ A factor substring is a positioned subwalk whose boundary letters point out
 of it (preceded by an inverse letter or nothing, followed by a forward
 letter or nothing); an image substring is the dual.  Pairs of coinciding
 factor and image occurrences index a basis of the hom space between the
-corresponding string modules.
+corresponding string modules, so hom dimensions are counted from tables of
+occurrences keyed by their letters.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import BoundQuiver, is_finite_dimensional
@@ -149,6 +151,32 @@ def _occ_letters(w: Walk, occ: SubstringOccurrence) -> tuple[Letter, ...]:
     return w.letters[occ.start : occ.end + 1]
 
 
+def _occ_key(bq: BoundQuiver, w: Walk, occ: SubstringOccurrence) -> str | tuple[Letter, ...]:
+    """A trivial occurrence matches by its vertex, a nontrivial one by its letters."""
+    return _vertex_at(bq, w, occ.start) if occ.is_trivial else _occ_letters(w, occ)
+
+
+def _factor_table(bq: BoundQuiver, w: Walk) -> Counter:
+    return Counter(_occ_key(bq, w, q) for q in factor_substrings(w))
+
+
+def _image_table(bq: BoundQuiver, w: Walk) -> Counter:
+    """Image occurrences, each nontrivial one counted under its letters and
+    under its inverse's, one per identification a factor can match."""
+    table: Counter = Counter()
+    for p in image_substrings(w):
+        key = _occ_key(bq, w, p)
+        table[key] += 1
+        if not p.is_trivial:
+            table[tuple(l.inverse() for l in reversed(key))] += 1
+    return table
+
+
+def _pair_count(factors: Counter, images: Counter) -> int:
+    small, large = sorted((factors, images), key=len)
+    return sum(n * large[key] for key, n in small.items())
+
+
 def hom_dim(bq: BoundQuiver, s2: Walk, s1: Walk) -> int:
     """Dimension of Hom(M(s2), M(s1)): admissible (factor of s2, image of
     s1, identification) triples.  Trivial pairs admit one identification;
@@ -159,20 +187,17 @@ def hom_dim(bq: BoundQuiver, s2: Walk, s1: Walk) -> int:
         problems = string_problems(bq, w)
         if problems:
             raise InvalidWalk("; ".join(problems))
-    total = 0
-    images = image_substrings(s1)
-    for q in factor_substrings(s2):
-        q_letters = _occ_letters(s2, q)
-        for p in images:
-            p_letters = _occ_letters(s1, p)
-            if q.is_trivial and p.is_trivial:
-                if _vertex_at(bq, s2, q.start) == _vertex_at(bq, s1, p.start):
-                    total += 1
-                continue
-            if q.is_trivial or p.is_trivial:
-                continue
-            if q_letters == p_letters:
-                total += 1
-            if q_letters == tuple(l.inverse() for l in reversed(p_letters)):
-                total += 1
-    return total
+    return _pair_count(_factor_table(bq, s2), _image_table(bq, s1))
+
+
+def _end_dim(bq: BoundQuiver, summands: list[Walk]) -> int:
+    """dim End of the direct sum of the string modules of ``summands``,
+    which must be strings: the sum of hom_dim over all ordered pairs.  Each
+    term is a factor table times an image table, so the sum is the summed
+    factor tables times the summed image tables."""
+    factors: Counter = Counter()
+    images: Counter = Counter()
+    for w in summands:
+        factors.update(_factor_table(bq, w))
+        images.update(_image_table(bq, w))
+    return _pair_count(factors, images)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import classify
 from .core import Arrow, BoundQuiver, algebra_dim, is_finite_dimensional
 from .errors import InfiniteDimensional, InvalidWalk, NotLeftForbidden, NotSAG
-from .forbidden import left_forbidden_arrows, perfect_index
-from .strmod import arrow_module_string, hom_dim, projective_string
+from .forbidden import perfect_index
+from .strmod import _end_dim, arrow_module_string, projective_string
 from .walks import CyclicWalk, Letter, Walk
 
 
@@ -43,9 +42,8 @@ class TransformedAlgebraReport:
 
 
 def validate_index(bq: BoundQuiver, arrows) -> RIndex:
-    allowed = left_forbidden_arrows(bq)
     for x in arrows:
-        if x not in allowed:
+        if x not in bq.left_forbidden_arrows:
             raise NotLeftForbidden(x)
     return RIndex(tuple(sorted(set(arrows), key=lambda x: bq.arrow_index[x])))
 
@@ -127,7 +125,7 @@ def lift_walk(tr: TransformResult, w: Walk | CyclicWalk) -> Walk | CyclicWalk:
 
 
 def _require_sag_finite(bq: BoundQuiver) -> None:
-    if not classify(bq).is_sag:
+    if not bq.classification.is_sag:
         raise NotSAG("bound quiver is not string-almost-gentle")
     if not is_finite_dimensional(bq):
         raise InfiniteDimensional("algebra is infinite-dimensional")
@@ -146,8 +144,6 @@ def verify_endo_dimension(bq: BoundQuiver, index: RIndex) -> TransformedAlgebraR
     _require_sag_finite(bq)
     summands = [projective_string(bq, v) for v in bq.vertices]
     summands += [arrow_module_string(bq, alpha) for alpha in index.arrows]
-    dim_source_endo = sum(
-        hom_dim(bq, x, y) for x in summands for y in summands
-    )
+    dim_source_endo = _end_dim(bq, summands)
     result = r_transform(bq, index)
     return TransformedAlgebraReport(result, dim_source_endo, algebra_dim(result.quiver))

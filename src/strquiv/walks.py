@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .classify import classify
 from .core import BoundQuiver, Path, depth_first, in_ideal, is_finite_dimensional
 from .errors import InfiniteDimensional, NotStringPair, UnknownArrow
 
@@ -114,8 +113,10 @@ def _check_arrows_known(bq: BoundQuiver, letters: tuple[Letter, ...]) -> None:
 
 
 def _require_string_pair(bq: BoundQuiver) -> None:
-    if not classify(bq).is_string:
-        raise NotStringPair("bound quiver fails the string-pair axioms")
+    c = bq.classification
+    if not c.is_string:
+        # the (S1) and (S2) witnesses; relation length is not a string-pair axiom
+        raise NotStringPair(tuple(v for v in c.violations if v[0] != "relation-length"))
 
 
 def string_problems(bq: BoundQuiver, w: Walk) -> list[str]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -133,3 +136,15 @@ def test_parse_error_exit_2(call, tmp_path):
     bad.write_text("quiver\nvertices: 1\narrows:\n  broken line\n")
     code, _, err = call("classify", str(bad))
     assert code == 2 and err.startswith("ParseError")
+
+
+def test_python_dash_m_runs_the_cli(call):
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "strquiv", "dim", FIG5],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    code, out, _ = call("dim", FIG5)
+    assert proc.returncode == 0 and code == 0
+    assert proc.stdout == out == "27\n"

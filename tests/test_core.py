@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from strquiv import (
@@ -122,3 +124,56 @@ def test_infinite_dimensional_names_the_cycle():
     )
     with pytest.raises(InfiniteDimensional, match=r"cycle exists: a c$"):
         algebra_dim(bq)
+
+
+def _random_bound_quiver(seed):
+    """Five vertices, eight arrows and composable relation words of length
+    2 to 4, with repeats and words nested inside one another."""
+    rng = random.Random(seed)
+    vertices = [str(i) for i in range(5)]
+    arrows = [Arrow(f"x{i}", rng.choice(vertices), rng.choice(vertices)) for i in range(8)]
+    out = {v: [a for a in arrows if a.source == v] for v in vertices}
+    words = []
+    for _ in range(12):
+        length = rng.randint(2, 4)
+        word = [rng.choice(arrows)]
+        while len(word) < length and out[word[-1].target]:
+            word.append(rng.choice(out[word[-1].target]))
+        if len(word) >= 2:
+            words.append(tuple(x.id for x in word))
+            if rng.random() < 0.3:
+                words.append(words[rng.randrange(len(words))])
+    return BoundQuiver.build(vertices, arrows, words), words
+
+
+def _pairwise_factor_minimal(words):
+    """Reference: compare every pair of generators."""
+    unique = []
+    for w in words:
+        if w not in unique:
+            unique.append(w)
+
+    def is_factor(needle, haystack):
+        n = len(needle)
+        return any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))
+
+    return tuple(w for w in unique if not any(s != w and is_factor(s, w) for s in unique))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_relations_match_pairwise_normalization(seed):
+    bq, words = _random_bound_quiver(seed)
+    assert bq.relations == _pairwise_factor_minimal(words)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_relation_pairs_decide_two_arrow_membership(seed):
+    bq, _ = _random_bound_quiver(seed)
+    heads = set()
+    for a in bq.arrows:
+        for b in bq.out_arrows[a.target]:
+            member = in_ideal(bq, Path((a.id, b.id)))
+            assert ((a.id, b.id) in bq.relation_pairs) == member
+            if member:
+                heads.add(a.id)
+    assert bq.left_forbidden_arrows == heads

@@ -9,6 +9,7 @@ from strquiv import (
     Walk,
     arrow_module_string,
     enumerate_paths,
+    enumerate_strings,
     factor_substrings,
     format_walk,
     gen_random_sag,
@@ -144,3 +145,52 @@ def test_projective_hom_oracle_generated(seed):
             assert hom_dim(
                 bq, projective_string(bq, w), projective_string(bq, v)
             ) == len(enumerate_paths(bq, v, w))
+
+
+def _pairwise_hom_dim(bq, s2, s1):
+    """Reference: compare every factor occurrence of s2 with every image
+    occurrence of s1, directly and under inversion."""
+
+    def vertex_at(w, pos):
+        if w.is_trivial:
+            return w.anchor
+        if pos == 0:
+            letter = w.letters[0]
+            arrow = bq.arrow_by_id[letter.arrow]
+            return arrow.target if letter.inv else arrow.source
+        letter = w.letters[pos - 1]
+        arrow = bq.arrow_by_id[letter.arrow]
+        return arrow.source if letter.inv else arrow.target
+
+    total = 0
+    images = image_substrings(s1)
+    for q in factor_substrings(s2):
+        q_letters = s2.letters[q.start : q.end + 1]
+        for p in images:
+            p_letters = s1.letters[p.start : p.end + 1]
+            if q.is_trivial and p.is_trivial:
+                if vertex_at(s2, q.start) == vertex_at(s1, p.start):
+                    total += 1
+                continue
+            if q.is_trivial or p.is_trivial:
+                continue
+            if q_letters == p_letters:
+                total += 1
+            if q_letters == tuple(l.inverse() for l in reversed(p_letters)):
+                total += 1
+    return total
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_hom_dim_matches_pairwise_reference(seed, fig5):
+    if seed is None:
+        bq = fig5
+    else:
+        bq = gen_random_sag(RandomSagSpec(seed=seed, num_vertices=8, num_arrows=12))
+    strings = enumerate_strings(bq, 4)
+    for s2 in strings:
+        for s1 in strings:
+            assert hom_dim(bq, s2, s1) == _pairwise_hom_dim(bq, s2, s1), (
+                format_walk(s2),
+                format_walk(s1),
+            )

@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +19,9 @@ from strquiv import (
     gen_random_sag,
     left_forbidden_arrows,
     lift_walk,
+    parse_quiver,
     parse_walk,
+    perfect_index,
     r_transform,
     validate_band,
     validate_index,
@@ -176,3 +181,35 @@ def test_reptype_preserved_and_bands_lift(seed):
     band = find_band(bq)
     if band is not None:
         assert validate_band(tr.quiver, lift_walk(tr, band))
+
+
+@pytest.mark.parametrize(
+    "at_perfect_index, expected", [(True, (887, 887)), (False, (876, 876))]
+)
+def test_endo_dimension_pinned_at_200_vertices(at_perfect_index, expected):
+    # a size at which comparing substrings pair by pair took minutes
+    bq = gen_random_sag(
+        RandomSagSpec(seed=3, num_vertices=200, num_arrows=300, relation_density=0.4)
+    )
+    index = perfect_index(bq).arrows if at_perfect_index else []
+    report = verify_endo_dimension(bq, validate_index(bq, index))
+    assert (report.dim_source_endo, report.dim_transformed) == expected
+
+
+def test_classification_is_computed_once_per_quiver(monkeypatch):
+    module = importlib.import_module("strquiv.classify")
+    original = module._side_violations
+    calls = []
+
+    def counted(bq, in_ideal_pairs):
+        calls.append(in_ideal_pairs)
+        return original(bq, in_ideal_pairs)
+
+    monkeypatch.setattr(module, "_side_violations", counted)
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "fig5.quiver"
+    bq = parse_quiver(fixture.read_text())
+    index = validate_index(bq, ["a", "b"])
+    for _ in range(2):
+        verify_endo_dimension(bq, index)
+    # once for (S2), once for the gentle check
+    assert len(calls) <= 2

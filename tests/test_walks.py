@@ -18,6 +18,7 @@ from strquiv import (
     canonical_band,
     canonical_string,
     enumerate_strings,
+    format_quiver,
     find_band,
     gen_random_sag,
     parse_walk,
@@ -226,3 +227,38 @@ def test_generated_band_witnesses_validate(seed):
         assert not band_exists(bq)
     else:
         assert validate_band(bq, witness)
+
+
+def _degree_three_quiver():
+    # vertex 3 is the source of three arrows, and b has two relation-free
+    # continuations, c and d
+    return BoundQuiver.build(
+        ["1", "2", "3", "4", "5", "6"],
+        [
+            Arrow("b", "1", "2"),
+            Arrow("c", "2", "3"),
+            Arrow("d", "2", "4"),
+            Arrow("e", "3", "4"),
+            Arrow("f", "3", "5"),
+            Arrow("g", "3", "6"),
+        ],
+        [("c", "e"), ("c", "f")],
+    )
+
+
+def test_not_string_pair_carries_its_witnesses():
+    with pytest.raises(NotStringPair) as info:
+        enumerate_strings(_degree_three_quiver(), 2)
+    assert info.value.violations == (("degree", "3"), ("continuation-R", "b"))
+    assert str(info.value).endswith(": degree 3; continuation-R b")
+
+
+def test_cli_prints_the_string_pair_witnesses(tmp_path, capsys):
+    from strquiv.cli import run
+
+    path = tmp_path / "degree3.quiver"
+    path.write_text(format_quiver(_degree_three_quiver()))
+    code = run(["strings", str(path), "--max-letters", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("NotStringPair") and "degree 3; continuation-R b" in err
