@@ -1,7 +1,9 @@
-"""Command-line interface.
+"""Command-line interface: one table of verbs, each a handler that turns
+the loaded quiver into a JSON payload and lines of text.
 
 Exit codes: 0 success, 1 domain errors (reported to stderr as
-``<ErrorTag> <message>``), 2 usage or parse errors.
+``<ErrorTag> <message>``) and a failed ``verify``, 2 usage, parse and file
+errors.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 import sys
 from pathlib import Path as FilePath
 
-from .classify import classify as _classify
+from .classify import classify
 from .core import BoundQuiver, algebra_dim
 from .dsl import (
     InvalidWalkText,
@@ -27,7 +29,7 @@ from .errors import ParseError, QuiverError
 from .forbidden import forbidden_cycles, is_perfect, left_forbidden_arrows, perfect_index
 from .generate import RandomSagSpec, gen_random_sag
 from .strmod import arrow_module_string, hom_dim, projective_string
-from .transform import cma, lift_walk, r_transform, validate_index, verify_endo_dimension
+from .transform import cma, r_transform, validate_index, verify_endo_dimension
 from .walks import CyclicWalk, enumerate_strings, find_band, representation_type
 
 
@@ -38,249 +40,190 @@ def _load_quiver(path: str) -> BoundQuiver:
     return parse_quiver(text)
 
 
-def _emit_quiver(bq: BoundQuiver, out: str | None, dot: str | None) -> None:
-    if out:
-        if out.endswith(".json"):
-            FilePath(out).write_text(json.dumps(quiver_to_json(bq), indent=2) + "\n")
-        else:
-            FilePath(out).write_text(format_quiver(bq))
-    if dot:
-        FilePath(dot).write_text(quiver_to_dot(bq))
+def _in_order(bq: BoundQuiver, arrows) -> list[str]:
+    """``arrows`` sorted by declaration order."""
+    return sorted(arrows, key=bq.arrow_index.__getitem__)
 
 
 def _split_index(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
-def _cmd_validate(args) -> int:
-    bq = _load_quiver(args.file)
-    if args.json:
-        print(json.dumps({"ok": True, "vertices": len(bq.vertices), "arrows": len(bq.arrows), "relations": len(bq.relations)}))
-    else:
-        print(f"ok: {len(bq.vertices)} vertices, {len(bq.arrows)} arrows, {len(bq.relations)} relations")
-    return 0
+def _single(key: str, value) -> tuple[dict, list[str]]:
+    return {key: value}, [str(value)]
 
 
-def _cmd_classify(args) -> int:
-    c = _classify(_load_quiver(args.file))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "string": c.is_string,
-                    "almost_gentle": c.is_almost_gentle,
-                    "sag": c.is_sag,
-                    "gentle": c.is_gentle,
-                    "violations": [
-                        {"kind": kind, "witness": list(w) if isinstance(w, tuple) else w}
-                        for kind, w in c.violations
-                    ],
-                }
-            )
-        )
-        return 0
-    print(f"string: {str(c.is_string).lower()}")
-    print(f"almost_gentle: {str(c.is_almost_gentle).lower()}")
-    print(f"sag: {str(c.is_sag).lower()}")
-    print(f"gentle: {str(c.is_gentle).lower()}")
-    for kind, witness in c.violations:
-        w = "".join(witness) if isinstance(witness, tuple) else witness
-        print(f"violation: {kind} {w}")
-    return 0
+def _validate(bq, args):
+    v, a, r = len(bq.vertices), len(bq.arrows), len(bq.relations)
+    payload = {"ok": True, "vertices": v, "arrows": a, "relations": r}
+    return payload, [f"ok: {v} vertices, {a} arrows, {r} relations"]
 
 
-def _cmd_strings(args) -> int:
-    bq = _load_quiver(args.file)
-    out = enumerate_strings(bq, args.max_letters)
-    if args.json:
-        print(json.dumps({"count": len(out), "strings": [format_walk(w) for w in out]}))
-    else:
-        for w in out:
-            print(format_walk(w))
-    return 0
+def _classify(bq, args):
+    c = classify(bq)
+    flags = {"string": c.is_string, "almost_gentle": c.is_almost_gentle, "sag": c.is_sag,
+             "gentle": c.is_gentle}
+    lines = [f"{name}: {str(flag).lower()}" for name, flag in flags.items()]
+    violations = []
+    for kind, w in c.violations:
+        violations.append({"kind": kind, "witness": list(w) if isinstance(w, tuple) else w})
+        lines.append(f"violation: {kind} {''.join(w) if isinstance(w, tuple) else w}")
+    return {**flags, "violations": violations}, lines
 
 
-def _cmd_bands(args) -> int:
-    bq = _load_quiver(args.file)
+def _strings(bq, args):
+    out = [format_walk(w) for w in enumerate_strings(bq, args.max_letters)]
+    return {"count": len(out), "strings": out}, out
+
+
+def _bands(bq, args):
     band = find_band(bq)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "exists": band is not None,
-                    "band": None if band is None else format_walk(band),
-                }
-            )
-        )
-        return 0
-    if band is None:
-        print("no band")
-    elif args.find:
-        print(format_walk(band))
-    else:
-        print("band exists")
-    return 0
+    text = None if band is None else format_walk(band)
+    line = "no band" if band is None else text if args.find else "band exists"
+    return {"exists": band is not None, "band": text}, [line]
 
 
-def _cmd_reptype(args) -> int:
-    kind = representation_type(_load_quiver(args.file))
-    print(json.dumps({"representation_type": kind}) if args.json else kind)
-    return 0
+def _forbidden(bq, args):
+    left = _in_order(bq, left_forbidden_arrows(bq))
+    cycles = [(c.arrows, is_perfect(bq, c)) for c in forbidden_cycles(bq)]
+    index = _in_order(bq, perfect_index(bq).arrows)
+    lines = ["left forbidden: " + " ".join(left)]
+    lines += [f"cycle: {' '.join(c)}" + (" (perfect)" if flag else "") for c, flag in cycles]
+    lines.append("perfect index: " + " ".join(index))
+    payload = {
+        "left_forbidden": left,
+        "cycles": [{"arrows": list(c), "perfect": flag} for c, flag in cycles],
+        "perfect_index": index,
+    }
+    return payload, lines
 
 
-def _cmd_forbidden(args) -> int:
-    bq = _load_quiver(args.file)
-    left = sorted(left_forbidden_arrows(bq), key=lambda x: bq.arrow_index[x])
-    cycles = forbidden_cycles(bq)
-    flags = [is_perfect(bq, c) for c in cycles]
-    index = perfect_index(bq)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "left_forbidden": left,
-                    "cycles": [
-                        {"arrows": list(c.arrows), "perfect": flag}
-                        for c, flag in zip(cycles, flags)
-                    ],
-                    "perfect_index": sorted(index.arrows, key=lambda x: bq.arrow_index[x]),
-                }
-            )
-        )
-        return 0
-    print("left forbidden: " + " ".join(left))
-    for c, flag in zip(cycles, flags):
-        print(f"cycle: {' '.join(c.arrows)}" + (" (perfect)" if flag else ""))
-    print("perfect index: " + " ".join(sorted(index.arrows, key=lambda x: bq.arrow_index[x])))
-    return 0
+def _transformed(tr, args, payload: dict):
+    """Write ``--out``/``--dot`` and report the transformed quiver."""
+    q = tr.quiver
+    if args.out:
+        json_out = args.out.endswith(".json")
+        text = json.dumps(quiver_to_json(q), indent=2) + "\n" if json_out else format_quiver(q)
+        FilePath(args.out).write_text(text)
+    if args.dot:
+        FilePath(args.dot).write_text(quiver_to_dot(q))
+    payload["quiver"] = quiver_to_json(q)
+    payload["vertex_map"] = tr.vertex_map
+    payload["arrow_map"] = {k: list(v) for k, v in tr.arrow_map.items()}
+    return payload, format_quiver(q).splitlines()
 
 
-def _cmd_transform(args) -> int:
-    bq = _load_quiver(args.file)
-    tr = r_transform(bq, validate_index(bq, _split_index(args.R)))
-    _emit_quiver(tr.quiver, args.out, args.dot)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "quiver": quiver_to_json(tr.quiver),
-                    "vertex_map": tr.vertex_map,
-                    "arrow_map": {k: list(v) for k, v in tr.arrow_map.items()},
-                }
-            )
-        )
-    else:
-        print(format_quiver(tr.quiver), end="")
-    return 0
+def _transform(bq, args):
+    return _transformed(r_transform(bq, validate_index(bq, _split_index(args.R))), args, {})
 
 
-def _cmd_cma(args) -> int:
-    bq = _load_quiver(args.file)
+def _cma(bq, args):
     tr = cma(bq)
-    index = perfect_index(bq)
-    _emit_quiver(tr.quiver, args.out, args.dot)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "perfect_index": sorted(index.arrows, key=lambda x: bq.arrow_index[x]),
-                    "quiver": quiver_to_json(tr.quiver),
-                    "vertex_map": tr.vertex_map,
-                    "arrow_map": {k: list(v) for k, v in tr.arrow_map.items()},
-                }
-            )
-        )
-    else:
-        print(format_quiver(tr.quiver), end="")
-    return 0
+    return _transformed(tr, args, {"perfect_index": _in_order(bq, perfect_index(bq).arrows)})
 
 
-def _cmd_homdim(args) -> int:
-    bq = _load_quiver(args.file)
+def _homdim(bq, args):
     s2 = parse_walk(bq, getattr(args, "from"))
     s1 = parse_walk(bq, args.to)
     if isinstance(s2, CyclicWalk) or isinstance(s1, CyclicWalk):
         raise InvalidWalkText("homdim expects linear walks, not cycle(...)")
-    d = hom_dim(bq, s2, s1)
-    print(json.dumps({"hom_dim": d}) if args.json else d)
-    return 0
+    return _single("hom_dim", hom_dim(bq, s2, s1))
 
 
-def _cmd_module_string(args) -> int:
-    bq = _load_quiver(args.file)
+def _module_string(bq, args):
     if args.projective is not None:
-        w = projective_string(bq, args.projective)
-    else:
-        w = arrow_module_string(bq, args.arrow)
-    print(json.dumps({"walk": format_walk(w)}) if args.json else format_walk(w))
-    return 0
+        return _single("walk", format_walk(projective_string(bq, args.projective)))
+    return _single("walk", format_walk(arrow_module_string(bq, args.arrow)))
 
 
-def _cmd_verify(args) -> int:
-    bq = _load_quiver(args.file)
-    reports = []
+def _verify(bq, args):
     if args.all_indices:
-        left = sorted(left_forbidden_arrows(bq), key=lambda x: bq.arrow_index[x])
-        total = 1 << len(left)
-        cap = args.cap if args.cap is not None else total
-        for mask in range(min(total, cap)):
-            subset = [x for i, x in enumerate(left) if (mask >> i) & 1]
-            reports.append((subset, verify_endo_dimension(bq, validate_index(bq, subset))))
+        left = _in_order(bq, left_forbidden_arrows(bq))
+        count = 1 << len(left) if args.cap is None else min(1 << len(left), args.cap)
+        subsets = ([x for i, x in enumerate(left) if (mask >> i) & 1] for mask in range(count))
     else:
-        subset = _split_index(args.R or "")
-        reports.append((subset, verify_endo_dimension(bq, validate_index(bq, subset))))
-    ok = all(r.dimensions_match for _, r in reports)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": ok,
-                    "reports": [
-                        {
-                            "R": subset,
-                            "dim_source_endo": r.dim_source_endo,
-                            "dim_transformed": r.dim_transformed,
-                            "match": r.dimensions_match,
-                        }
-                        for subset, r in reports
-                    ],
-                }
-            )
-        )
-    else:
-        for subset, r in reports:
-            status = "ok" if r.dimensions_match else "MISMATCH"
-            print(
-                f"R={{{','.join(subset)}}}: endo={r.dim_source_endo} "
-                f"transformed={r.dim_transformed} {status}"
-            )
-    return 0 if ok else 1
+        subsets = [_split_index(args.R or "")]
+    reports = [(s, verify_endo_dimension(bq, validate_index(bq, s))) for s in subsets]
+    payload = {
+        "ok": all(r.dimensions_match for _, r in reports),
+        "reports": [
+            {"R": s, "dim_source_endo": r.dim_source_endo, "dim_transformed": r.dim_transformed,
+             "match": r.dimensions_match}
+            for s, r in reports
+        ],
+    }
+    lines = [
+        f"R={{{','.join(s)}}}: endo={r.dim_source_endo} transformed={r.dim_transformed} "
+        + ("ok" if r.dimensions_match else "MISMATCH")
+        for s, r in reports
+    ]
+    return payload, lines
 
 
-def _cmd_dim(args) -> int:
-    d = algebra_dim(_load_quiver(args.file))
-    print(json.dumps({"dim": d}) if args.json else d)
-    return 0
-
-
-def _cmd_export_dot(args) -> int:
-    print(quiver_to_dot(_load_quiver(args.file)), end="")
-    return 0
-
-
-def _cmd_gen(args) -> int:
+def _gen(bq, args):
     spec = RandomSagSpec(
         seed=args.seed,
         num_vertices=args.vertices,
         num_arrows=args.arrows,
         relation_density=args.density,
     )
-    bq = gen_random_sag(spec)
-    if args.json:
-        print(json.dumps(quiver_to_json(bq)))
-    else:
-        print(format_quiver(bq), end="")
-    return 0
+    q = gen_random_sag(spec)
+    return quiver_to_json(q), format_quiver(q).splitlines()
+
+
+def _at_least(least: int):
+    """An argparse type: an int no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_OUT = ("--out", {"help": "write the transformed quiver to a file"})
+_DOT = ("--dot", {"help": "write DOT to a file"})
+
+# verb -> (handler, help, arguments).  Every verb but gen also takes a quiver
+# file; a list of arguments is a required choice between them.  export-dot
+# has no JSON form: its payload is None and it always prints DOT.
+_VERBS = {
+    "validate": (_validate, "parse a quiver file and check well-formedness", []),
+    "classify": (_classify, "report string/almost-gentle/SAG/gentle flags", []),
+    "strings": (_strings, "enumerate string classes up to a length bound",
+                [("--max-letters", {"type": _at_least(0), "required": True})]),
+    "bands": (_bands, "decide band existence",
+              [("--find", {"action": "store_true", "help": "print a witness band"})]),
+    "reptype": (lambda bq, args: _single("representation_type", representation_type(bq)),
+                "decide representation type", []),
+    "forbidden": (_forbidden, "forbidden arrows, cycles, perfect index", []),
+    "transform": (_transform, "arrow-splitting transform at an index R",
+                  [("--R", {"required": True, "help": "comma-separated arrow ids"}), _OUT, _DOT]),
+    "cma": (_cma, "Cohen-Macaulay Auslander algebra", [_OUT, _DOT]),
+    "homdim": (_homdim, "hom dimension between two string modules",
+               [("--from", {"required": True, "help": "source string (walk syntax)"}),
+                ("--to", {"required": True, "help": "target string (walk syntax)"})]),
+    "module-string": (_module_string, "projective or arrow module string",
+                      [[("--projective", {"metavar": "VERTEX"}),
+                        ("--arrow", {"metavar": "ARROW"})]]),
+    "verify": (_verify, "check the endomorphism-dimension equality",
+               [("--R", {"help": "comma-separated arrow ids"}),
+                ("--all-indices", {"action": "store_true"}),
+                ("--cap", {"type": _at_least(0),
+                           "help": "max number of subsets with --all-indices"})]),
+    "dim": (lambda bq, args: _single("dim", algebra_dim(bq)),
+            "dimension of the path algebra modulo the ideal", []),
+    "export-dot": (lambda bq, args: (None, quiver_to_dot(bq).splitlines()),
+                   "GraphViz DOT output", []),
+    "gen": (_gen, "generate a random SAG quiver",
+            [("--seed", {"type": int, "required": True}),
+             ("--vertices", {"type": _at_least(1), "default": 5}),
+             ("--arrows", {"type": _at_least(0), "default": 7}),
+             ("--density", {"type": float, "default": 0.5})]),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -289,82 +232,42 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Analyze bound quivers of string / SAG algebras.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+    for verb, (_, help_text, arguments) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    p = add("validate", _cmd_validate, help="parse a quiver file and check well-formedness")
-    p.add_argument("file")
-    p = add("classify", _cmd_classify, help="report string/almost-gentle/SAG/gentle flags")
-    p.add_argument("file")
-    p = add("strings", _cmd_strings, help="enumerate string classes up to a length bound")
-    p.add_argument("file")
-    p.add_argument("--max-letters", type=int, required=True)
-    p = add("bands", _cmd_bands, help="decide band existence")
-    p.add_argument("file")
-    p.add_argument("--find", action="store_true", help="print a witness band")
-    p = add("reptype", _cmd_reptype, help="decide representation type")
-    p.add_argument("file")
-    p = add("forbidden", _cmd_forbidden, help="forbidden arrows, cycles, perfect index")
-    p.add_argument("file")
-    p = add("transform", _cmd_transform, help="arrow-splitting transform at an index R")
-    p.add_argument("file")
-    p.add_argument("--R", required=True, help="comma-separated arrow ids")
-    p.add_argument("--out", help="write the transformed quiver to a file")
-    p.add_argument("--dot", help="write DOT to a file")
-    p = add("cma", _cmd_cma, help="Cohen-Macaulay Auslander algebra")
-    p.add_argument("file")
-    p.add_argument("--out", help="write the transformed quiver to a file")
-    p.add_argument("--dot", help="write DOT to a file")
-    p = add("homdim", _cmd_homdim, help="hom dimension between two string modules")
-    p.add_argument("file")
-    p.add_argument("--from", required=True, help="source string (walk syntax)")
-    p.add_argument("--to", required=True, help="target string (walk syntax)")
-    p = add("module-string", _cmd_module_string, help="projective or arrow module string")
-    p.add_argument("file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--projective", metavar="VERTEX")
-    group.add_argument("--arrow", metavar="ARROW")
-    p = add("verify", _cmd_verify, help="check the endomorphism-dimension equality")
-    p.add_argument("file")
-    p.add_argument("--R", help="comma-separated arrow ids")
-    p.add_argument("--all-indices", action="store_true")
-    p.add_argument("--cap", type=int, help="max number of subsets with --all-indices")
-    p = add("dim", _cmd_dim, help="dimension of the path algebra modulo the ideal")
-    p.add_argument("file")
-    p = add("export-dot", _cmd_export_dot, help="GraphViz DOT output")
-    p.add_argument("file")
-    p = add("gen", _cmd_gen, help="generate a random SAG quiver")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--vertices", type=int, default=5)
-    p.add_argument("--arrows", type=int, default=7)
-    p.add_argument("--density", type=float, default=0.5)
+        if verb != "gen":
+            p.add_argument("file")
+        for argument in arguments:
+            if isinstance(argument, list):  # a required choice
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag, kwargs in argument:
+                    group.add_argument(flag, **kwargs)
+            else:
+                p.add_argument(argument[0], **argument[1])
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except ParseError as exc:
-        print(f"ParseError {exc}", file=sys.stderr)
-        return 2
-    except InvalidWalkText as exc:
-        print(f"InvalidWalkText {exc}", file=sys.stderr)
+        bq = _load_quiver(args.file) if "file" in args else None
+        payload, lines = _VERBS[args.verb][0](bq, args)
+    except (ParseError, InvalidWalkText, OSError, UnicodeDecodeError) as exc:
+        tag = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        print(f"{tag} {exc}", file=sys.stderr)
         return 2
     except QuiverError as exc:
         print(f"{exc.tag} {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"FileNotFound {exc}", file=sys.stderr)
-        return 2
+    if args.json and payload is not None:
+        print(json.dumps(payload))
+    else:
+        for line in lines:
+            print(line)
+    return 0 if payload is None or payload.get("ok", True) else 1
 
 
 def main() -> None:

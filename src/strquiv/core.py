@@ -352,14 +352,19 @@ def _infinite(cycle: Iterable[str]) -> InfiniteDimensional:
     return InfiniteDimensional("relation-free oriented cycle exists: " + " ".join(cycle))
 
 
+def require_finite(bq: BoundQuiver) -> None:
+    """Raise InfiniteDimensional, naming a relation-free oriented cycle,
+    unless the algebra is finite-dimensional."""
+    if bq.relation_free_cycle is not None:
+        raise _infinite(bq.relation_free_cycle)
+
+
 def enumerate_paths(bq: BoundQuiver, frm: str, to: str) -> list[Path]:
     """All relation-free paths from ``frm`` to ``to``, shortest first, ties
     broken by arrow declaration order."""
     if frm not in bq.vertex_index or to not in bq.vertex_index:
         raise InvalidPath(f"unknown vertex in ({frm!r}, {to!r})")
-    cycle = bq.relation_free_cycle
-    if cycle is not None:
-        raise _infinite(cycle)
+    require_finite(bq)
     found: list[Path] = []
     stack: list[tuple[tuple[str, int], tuple[str, ...]]] = [((frm, 0), ())]
     while stack:

@@ -113,13 +113,23 @@ def quiver_to_json(bq: BoundQuiver) -> dict:
 
 
 def quiver_from_json(data: dict | str) -> BoundQuiver:
-    if isinstance(data, str):
-        data = json.loads(data)
-    return BoundQuiver.build(
-        data["vertices"],
-        [Arrow(a["id"], a["source"], a["target"]) for a in data["arrows"]],
-        [tuple(rel) for rel in data["relations"]],
-    )
+    try:
+        if isinstance(data, str):
+            data = json.loads(data)
+        vertices = tuple(data["vertices"])
+        arrows = [Arrow(a["id"], a["source"], a["target"]) for a in data["arrows"]]
+        relations = [tuple(rel) for rel in data["relations"]]
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, exc.colno, exc.msg) from None
+    except KeyError as exc:
+        raise ParseError(1, 1, f"JSON quiver has no key {exc}") from None
+    except TypeError as exc:
+        raise ParseError(1, 1, f"malformed JSON quiver: {exc}") from None
+    ids = [*vertices, *(x for a in arrows for x in (a.id, a.source, a.target))]
+    for x in ids + [x for rel in relations for x in rel]:
+        if not (isinstance(x, str) and is_token(x)):
+            raise ParseError(1, 1, f"bad token {x!r}")
+    return BoundQuiver.build(vertices, arrows, relations)
 
 
 def parse_walk(bq: BoundQuiver, text: str) -> Walk | CyclicWalk:
@@ -142,10 +152,10 @@ def parse_walk(bq: BoundQuiver, text: str) -> Walk | CyclicWalk:
         if tok not in bq.arrow_by_id:
             raise UnknownArrow(f"unknown arrow {tok!r}")
         letters.append(Letter(tok, inv))
-    if cyclic:
-        return CyclicWalk(tuple(letters))
     if not letters:
         raise InvalidWalkText("empty walk text")
+    if cyclic:
+        return CyclicWalk(tuple(letters))
     return Walk(tuple(letters))
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import BoundQuiver, is_finite_dimensional
-from .errors import InfiniteDimensional, InvalidWalk, NotStringPair, UnknownArrow
+from .core import BoundQuiver, require_finite
+from .errors import InvalidWalk, NotStringPair, UnknownArrow
 from .walks import (
     Letter,
     Walk,
@@ -24,11 +24,6 @@ from .walks import (
     letter_target,
     string_problems,
 )
-
-
-def _require_finite(bq: BoundQuiver) -> None:
-    if not is_finite_dimensional(bq):
-        raise InfiniteDimensional("algebra is infinite-dimensional")
 
 
 def _maximal_run_from(bq: BoundQuiver, state: int, start_vertex: str) -> list[str]:
@@ -60,7 +55,7 @@ def projective_string(bq: BoundQuiver, v: str) -> Walk:
     in declaration order), the second inverted and prepended to the first.
     """
     _require_string_pair(bq)
-    _require_finite(bq)
+    require_finite(bq)
     if v not in bq.vertex_index:
         raise UnknownArrow(f"unknown vertex {v!r}")
     branches: list[list[str]] = []
@@ -82,7 +77,7 @@ def arrow_module_string(bq: BoundQuiver, alpha: str) -> Walk:
     """The string of the arrow module: the maximal relation-free
     continuation of ``alpha``, without ``alpha`` itself."""
     _require_string_pair(bq)
-    _require_finite(bq)
+    require_finite(bq)
     if alpha not in bq.arrow_by_id:
         raise UnknownArrow(f"unknown arrow {alpha!r}")
     a = bq.arrow_by_id[alpha]

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Arrow, BoundQuiver, algebra_dim, is_finite_dimensional
-from .errors import InfiniteDimensional, InvalidWalk, NotLeftForbidden, NotSAG
+from .core import Arrow, BoundQuiver, algebra_dim, require_finite
+from .errors import InvalidWalk, NotLeftForbidden, NotSAG
 from .forbidden import perfect_index
 from .strmod import _end_dim, arrow_module_string, projective_string
 from .walks import CyclicWalk, Letter, Walk
@@ -127,8 +127,7 @@ def lift_walk(tr: TransformResult, w: Walk | CyclicWalk) -> Walk | CyclicWalk:
 def _require_sag_finite(bq: BoundQuiver) -> None:
     if not bq.classification.is_sag:
         raise NotSAG("bound quiver is not string-almost-gentle")
-    if not is_finite_dimensional(bq):
-        raise InfiniteDimensional("algebra is infinite-dimensional")
+    require_finite(bq)
 
 
 def cma(bq: BoundQuiver) -> TransformResult:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .core import BoundQuiver, Path, depth_first, in_ideal, is_finite_dimensional
-from .errors import InfiniteDimensional, NotStringPair, UnknownArrow
+from .core import BoundQuiver, Path, depth_first, in_ideal, require_finite
+from .errors import NotStringPair, UnknownArrow
 
 
 class Letter(NamedTuple):
@@ -365,8 +365,7 @@ def _primitive_root(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
 def band_exists(bq: BoundQuiver) -> bool:
     """True iff the transition graph reachable from initial nodes has a cycle."""
     _require_string_pair(bq)
-    if not is_finite_dimensional(bq):
-        raise InfiniteDimensional("algebra is infinite-dimensional")
+    require_finite(bq)
     cycle, _ = depth_first(
         _initial_nodes(bq), lambda node: ((nxt[0], nxt) for nxt in _node_successors(bq, node))
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,16 @@ import pytest
 
 from pathlib import Path
 
+from strquiv import (
+    RandomSagSpec,
+    format_quiver,
+    format_walk,
+    gen_random_sag,
+    parse_quiver,
+    perfect_index,
+)
 from strquiv.cli import run
+from strquiv.strmod import projective_string
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -148,3 +158,146 @@ def test_python_dash_m_runs_the_cli(call):
     code, out, _ = call("dim", FIG5)
     assert proc.returncode == 0 and code == 0
     assert proc.stdout == out == "27\n"
+
+
+def _pinned_runs(tmp_path):
+    """Every verb, text and ``--json``, on fig1, fig5 and two generated SAG
+    quivers; only invocations that succeed."""
+    quivers = {"fig1": FIG1, "fig5": FIG5}
+    for seed in (3, 4):
+        path = tmp_path / f"sag{seed}.quiver"
+        spec = RandomSagSpec(seed=seed, num_vertices=8, num_arrows=12, relation_density=0.4)
+        path.write_text(format_quiver(gen_random_sag(spec)))
+        quivers[f"sag{seed}"] = str(path)
+    runs = []
+    for name, file in quivers.items():
+        bq = parse_quiver(Path(file).read_text())
+        v, w = bq.vertices[:2]
+        left, index = (
+            ",".join(sorted(arrows, key=bq.arrow_index.__getitem__))
+            for arrows in (bq.left_forbidden_arrows, perfect_index(bq).arrows)
+        )
+        out = str(tmp_path / "out")
+        argvs = [
+            ["validate", file],
+            ["classify", file],
+            ["strings", file, "--max-letters", "3"],
+            ["bands", file],
+            ["bands", file, "--find"],
+            ["reptype", file],
+            ["forbidden", file],
+            ["transform", file, "--R", left, "--out", out + ".quiver", "--dot", out + ".dot"],
+            ["transform", file, "--R", left.split(",")[0], "--out", out + ".json"],
+            ["homdim", file, "--from", format_walk(projective_string(bq, w)),
+             "--to", format_walk(projective_string(bq, v))],
+            ["module-string", file, "--projective", v],
+            ["module-string", file, "--arrow", bq.arrows[0].id],
+            ["dim", file],
+            ["export-dot", file],
+        ]
+        if name != "fig1":  # cma and verify need a SAG quiver
+            argvs += [
+                ["cma", file, "--out", out + ".quiver", "--dot", out + ".dot"],
+                ["verify", file, "--R", index],
+                ["verify", file, "--all-indices", "--cap", "1"],
+            ]
+        runs += [(name, argv) for argv in argvs]
+    runs += [("", ["gen", "--seed", "3"])]
+    runs += [("", ["gen", "--seed", "4", "--vertices", "8", "--arrows", "12", "--density", "0.4"])]
+    return runs
+
+
+# sha256 over the exit code, stdout, stderr and written files of every run
+# in _pinned_runs, recorded before the CLI became table-driven.
+CLI_OUTPUT_SHA256 = "a3ac895c1bed03ae35a1cdf8387eec18bfae9c3b8615bec36536322ea72f6fa4"
+
+
+def test_output_is_pinned(call, tmp_path):
+    digest = hashlib.sha256()
+    for name, argv in _pinned_runs(tmp_path):
+        for extra in ([], ["--json"]):
+            for f in tmp_path.glob("out.*"):
+                f.unlink()
+            code, out, err = call(*argv, *extra)
+            assert code == 0, (argv, extra, err)
+            label = " ".join([argv[0], name] + argv[2:] + extra).replace(str(tmp_path), "")
+            written = [(f.name, f.read_text()) for f in sorted(tmp_path.glob("out.*"))]
+            digest.update(repr((label, code, out, err, written)).encode())
+    assert digest.hexdigest() == CLI_OUTPUT_SHA256
+
+
+TWO_CYCLE = "quiver\nvertices: 1 2\narrows:\na: 1 -> 2\nb: 2 -> 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reptype"],
+        ["bands"],
+        ["module-string", "--projective", "1"],
+        ["verify"],
+        ["cma"],
+    ],
+)
+def test_infinite_dimensional_names_the_cycle(call, tmp_path, argv):
+    path = tmp_path / "cycle.quiver"
+    path.write_text(TWO_CYCLE)
+    code, _, err = call(argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert err == "InfiniteDimensional relation-free oriented cycle exists: a b\n"
+
+
+@pytest.mark.parametrize(
+    ("content", "argv", "tag"),
+    [
+        ('{"vertices": ["1"], "arr', ["validate"], "ParseError"),
+        ('{"vertices": ["1"], "relations": []}', ["validate"], "ParseError"),
+        ("[1, 2]", ["validate"], "ParseError"),
+        ('{"vertices": [1], "arrows": [], "relations": []}', ["dim"], "ParseError"),
+        ('{"vertices": [{}], "arrows": [], "relations": []}', ["validate"], "ParseError"),
+        (b"quiver\nvertices: \xff\n", ["validate"], "UnicodeDecodeError"),
+        (None, ["validate"], "IsADirectoryError"),
+        (
+            '{"vertices": ["1", "2"], "arrows": [{"id": "a", "source": "1", "target": "2"}],'
+            ' "relations": []}',
+            ["homdim", "--from", "cycle()", "--to", "a"],
+            "InvalidWalkText",
+        ),
+    ],
+    ids=["truncated", "no-arrows", "list", "int-id", "dict-id", "not-utf8", "directory", "empty-cycle"],
+)
+def test_bad_input_exit_2(call, tmp_path, content, argv, tag):
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code, out, err = call(argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith(tag + " ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    ("argv", "option"),
+    [
+        (["gen", "--seed", "1", "--vertices", "0", "--arrows", "0"], "--vertices"),
+        (["gen", "--seed", "1", "--arrows", "-1"], "--arrows"),
+        (["verify", FIG5, "--all-indices", "--cap", "-1"], "--cap"),
+        (["strings", FIG5, "--max-letters", "-1"], "--max-letters"),
+    ],
+)
+def test_unusable_numbers_are_usage_errors(call, argv, option):
+    code, out, err = call(*argv)
+    assert code == 2 and out == ""
+    assert f"argument {option}: must be at least" in err
+
+
+def test_verify_mismatch_exits_1(call):
+    # R = {d'} is outside fig5's perfect index, and the dimensions differ
+    code, out, err = call("verify", FIG5, "--R", "d'")
+    assert code == 1 and err == ""
+    assert out == "R={d'}: endo=33 transformed=32 MISMATCH\n"
+    code, out, _ = call("verify", FIG5, "--R", "d'", "--json")
+    assert code == 1 and json.loads(out)["ok"] is False
