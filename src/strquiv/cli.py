@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path as FilePath
 
@@ -171,16 +172,17 @@ def _gen(bq, args):
     return quiver_to_json(q), format_quiver(q).splitlines()
 
 
-def _at_least(least: int):
-    """An argparse type: an int no smaller than ``least``."""
+def _within(kind: type, least: float, most: float = math.inf):
+    """An argparse type: a ``kind`` value in [least, most], never NaN."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+    def parse(text: str):
+        value = kind(text)
+        if not least <= value <= most:
+            bound = f"at least {least}" if most == math.inf else f"in [{least}, {most}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
@@ -194,7 +196,7 @@ _VERBS = {
     "validate": (_validate, "parse a quiver file and check well-formedness", []),
     "classify": (_classify, "report string/almost-gentle/SAG/gentle flags", []),
     "strings": (_strings, "enumerate string classes up to a length bound",
-                [("--max-letters", {"type": _at_least(0), "required": True})]),
+                [("--max-letters", {"type": _within(int, 0), "required": True})]),
     "bands": (_bands, "decide band existence",
               [("--find", {"action": "store_true", "help": "print a witness band"})]),
     "reptype": (lambda bq, args: _single("representation_type", representation_type(bq)),
@@ -212,7 +214,7 @@ _VERBS = {
     "verify": (_verify, "check the endomorphism-dimension equality",
                [("--R", {"help": "comma-separated arrow ids"}),
                 ("--all-indices", {"action": "store_true"}),
-                ("--cap", {"type": _at_least(0),
+                ("--cap", {"type": _within(int, 0),
                            "help": "max number of subsets with --all-indices"})]),
     "dim": (lambda bq, args: _single("dim", algebra_dim(bq)),
             "dimension of the path algebra modulo the ideal", []),
@@ -220,9 +222,9 @@ _VERBS = {
                    "GraphViz DOT output", []),
     "gen": (_gen, "generate a random SAG quiver",
             [("--seed", {"type": int, "required": True}),
-             ("--vertices", {"type": _at_least(1), "default": 5}),
-             ("--arrows", {"type": _at_least(0), "default": 7}),
-             ("--density", {"type": float, "default": 0.5})]),
+             ("--vertices", {"type": _within(int, 1), "default": 5}),
+             ("--arrows", {"type": _within(int, 0), "default": 7}),
+             ("--density", {"type": _within(float, 0, 1), "default": 0.5})]),
 }
 
 

@@ -290,24 +290,30 @@ def enumerate_strings(bq: BoundQuiver, max_letters: int) -> list[Walk]:
     """All equivalence classes of strings with at most ``max_letters`` letters.
 
     Deterministic order: trivial strings in vertex order, then nontrivial
-    canonical forms sorted by (length, letter keys).
+    canonical forms sorted by (length, letter keys).  One DFS over the
+    transition graph, expanding each node once, reaches every nontrivial
+    string and its inverse once; each entry carries the letter keys of both,
+    and the class is emitted from its canonical end.
     """
     _require_string_pair(bq)
-    out: list[Walk] = [Walk((), v) for v in bq.vertices]
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    found: list[Walk] = []
-    stack = [(node, (node[0],)) for node in _initial_nodes(bq)] if max_letters >= 1 else []
-    while stack:
-        node, letters = stack.pop()
-        cano = canonical_string(bq, Walk(letters))
-        key = _walk_key(bq, cano.letters)
-        if key not in seen:
-            seen.add(key)
-            found.append(cano)
+
+    def keyed(node: _Node) -> tuple[_Node, tuple[int, int], tuple[int, int]]:
+        return node, _letter_key(bq, node[0]), _letter_key(bq, node[0].inverse())
+
+    succ: dict[_Node, list[tuple[_Node, tuple[int, int], tuple[int, int]]]] = {}
+    found = []
+    stack = [(n, (n[0],), (k,), (ik,)) for n, k, ik in map(keyed, _initial_nodes(bq))]
+    while stack and max_letters >= 1:
+        node, letters, key, inv_key = stack.pop()
+        if key <= inv_key:
+            found.append((len(letters), key, letters))
         if len(letters) < max_letters:
-            stack.extend((nxt, letters + (nxt[0],)) for nxt in _node_successors(bq, node))
-    found.sort(key=lambda w: (len(w), _walk_key(bq, w.letters)))
-    return out + found
+            if node not in succ:
+                succ[node] = [keyed(n) for n in _node_successors(bq, node)]
+            stack += [(n, letters + (n[0],), key + (k,), (ik,) + inv_key)
+                      for n, k, ik in succ[node]]
+    found.sort()
+    return [Walk((), v) for v in bq.vertices] + [Walk(letters) for _, _, letters in found]
 
 
 # ---------------------------------------------------------------------------

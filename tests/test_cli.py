@@ -226,6 +226,27 @@ def test_output_is_pinned(call, tmp_path):
     assert digest.hexdigest() == CLI_OUTPUT_SHA256
 
 
+# sha256 over the exit code and stdout of `strings` on a 100/150 SAG quiver
+# (10 letters, --json) and on fig1 and fig5 (6 letters, text), recorded
+# before enumeration expanded each transition-graph node once.
+STRINGS_OUTPUT_SHA256 = "1ee03761734788be89de8fc0dd1b863649b138157e89b3f47af7f4e186867633"
+
+
+def test_strings_output_is_pinned(call, tmp_path):
+    path = tmp_path / "sag100.quiver"
+    spec = RandomSagSpec(seed=3, num_vertices=100, num_arrows=150, relation_density=0.4)
+    path.write_text(format_quiver(gen_random_sag(spec)))
+    digest = hashlib.sha256()
+    for name, argv in [
+        ("sag100", ["strings", str(path), "--max-letters", "10", "--json"]),
+        ("fig1", ["strings", FIG1, "--max-letters", "6"]),
+        ("fig5", ["strings", FIG5, "--max-letters", "6"]),
+    ]:
+        code, out, _ = call(*argv)
+        digest.update(repr((name, argv[2:], code, out)).encode())
+    assert digest.hexdigest() == STRINGS_OUTPUT_SHA256
+
+
 TWO_CYCLE = "quiver\nvertices: 1 2\narrows:\na: 1 -> 2\nb: 2 -> 1\n"
 
 
@@ -292,6 +313,25 @@ def test_unusable_numbers_are_usage_errors(call, argv, option):
     code, out, err = call(*argv)
     assert code == 2 and out == ""
     assert f"argument {option}: must be at least" in err
+
+
+@pytest.mark.parametrize(
+    ("density", "message"),
+    [(d, "must be in [0, 1]") for d in ("2", "-1", "nan", "inf", "1.0000001")]
+    + [("half", "invalid float value: 'half'")],
+)
+def test_unusable_density_is_a_usage_error(call, density, message):
+    code, out, err = call("gen", "--seed", "1", "--vertices", "3", "--arrows", "2",
+                          "--density", density)
+    assert code == 2 and out == ""
+    assert f"argument --density: {message}" in err
+
+
+@pytest.mark.parametrize("density", ["0", "1", "0.4"])
+def test_density_in_the_unit_interval_is_accepted(call, density):
+    code, out, _ = call("gen", "--seed", "1", "--vertices", "3", "--arrows", "2",
+                        "--density", density)
+    assert code == 0 and out.startswith("quiver")
 
 
 def test_verify_mismatch_exits_1(call):

@@ -7,6 +7,7 @@ from strquiv import (
     BoundQuiver,
     algebra_dim,
     enumerate_paths,
+    enumerate_strings,
     find_band,
     format_quiver,
     representation_type,
@@ -35,6 +36,12 @@ def test_representation_type(linear):
 
 def test_no_band(linear):
     assert find_band(linear) is None
+
+
+def test_strings(linear):
+    # one trivial string per vertex, and n + 1 - l classes of length l
+    expected = (N + 1) + sum(N + 1 - length for length in range(1, 5))
+    assert len(enumerate_strings(linear, 4)) == expected
 
 
 def test_one_path_end_to_end(linear):

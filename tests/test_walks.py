@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,12 +22,15 @@ from strquiv import (
     format_quiver,
     find_band,
     gen_random_sag,
+    is_finite_dimensional,
     parse_walk,
     representation_type,
     string_problems,
     validate_band,
     validate_string,
 )
+from strquiv import walks
+from strquiv.walks import _initial_nodes, _node_successors, _walk_key
 
 B_TEXT = "a' d'^-1 a e^-1 b' e'^-1 b f^-1 c' f'^-1 c d^-1"
 
@@ -262,3 +266,86 @@ def test_cli_prints_the_string_pair_witnesses(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("NotStringPair") and "degree 3; continuation-R b" in err
+
+
+def _per_walk_reference(bq, max_letters):
+    """Reference: canonicalise every walk the transition-graph DFS visits and
+    keep a set of the classes already emitted."""
+    seen = set()
+    found = []
+    stack = [(node, (node[0],)) for node in _initial_nodes(bq)] if max_letters >= 1 else []
+    while stack:
+        node, letters = stack.pop()
+        cano = canonical_string(bq, Walk(letters))
+        key = _walk_key(bq, cano.letters)
+        if key not in seen:
+            seen.add(key)
+            found.append(cano)
+        if len(letters) < max_letters:
+            stack.extend((nxt, letters + (nxt[0],)) for nxt in _node_successors(bq, node))
+    found.sort(key=lambda w: (len(w), _walk_key(bq, w.letters)))
+    return [Walk((), v) for v in bq.vertices] + found
+
+
+def _random_string_pair(seed):
+    """A finite-dimensional string pair on 3-7 vertices with relations of
+    length 2-4: each vertex has at most two arrows in and two out, and the
+    relation-free pairs of arrows form a partial matching."""
+    rng = random.Random(seed)
+    while True:
+        vertices = [str(i) for i in range(rng.randint(3, 7))]
+        arrows = []
+        for i in range(2 * len(vertices)):
+            s, t = rng.choice(vertices), rng.choice(vertices)
+            if sum(a.source == s for a in arrows) < 2 and sum(a.target == t for a in arrows) < 2:
+                arrows.append(Arrow(f"x{i}", s, t))
+        pairs = [(a, b) for a in arrows for b in arrows if a.target == b.source]
+        rng.shuffle(pairs)
+        nxt, prv = {}, {}
+        for a, b in pairs:
+            if a not in nxt and b not in prv and rng.random() < 0.8:
+                nxt[a], prv[b] = b, a
+        relations = [(a.id, b.id) for a, b in pairs if nxt.get(a) != b]
+        paths = [(a, nxt[a]) for a in nxt]
+        for _ in range(2):  # relation-free paths of length 3 and 4
+            paths = [p + (nxt[p[-1]],) for p in paths if p[-1] in nxt]
+            relations += [[a.id for a in p] for p in paths if rng.random() < 0.3]
+        bq = BoundQuiver.build(vertices, arrows, relations)
+        assert bq.classification.is_string
+        if is_finite_dimensional(bq):
+            return bq
+
+
+class TestEnumerateMatchesReference:
+    @pytest.mark.parametrize("name", ["fig1", "fig5"])
+    def test_figures(self, request, name):
+        bq = request.getfixturevalue(name)
+        for k in range(9):
+            assert enumerate_strings(bq, k) == _per_walk_reference(bq, k)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_sag(self, seed):
+        bq = gen_random_sag(RandomSagSpec(seed=seed, num_vertices=20, num_arrows=30))
+        for k in (0, 1, 3, 6):
+            assert enumerate_strings(bq, k) == _per_walk_reference(bq, k)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_string_pairs(self, seed):
+        bq = _random_string_pair(seed)
+        for k in range(7):
+            assert enumerate_strings(bq, k) == _per_walk_reference(bq, k)
+
+
+def test_each_node_is_expanded_once(monkeypatch):
+    calls = []
+    expand = walks._node_successors
+
+    def counted(bq, node):
+        calls.append(node)
+        return expand(bq, node)
+
+    monkeypatch.setattr(walks, "_node_successors", counted)
+    spec = RandomSagSpec(seed=3, num_vertices=100, num_arrows=150, relation_density=0.4)
+    enumerate_strings(gen_random_sag(spec), 10)
+    expansions, nodes = len(calls), len(set(calls))
+    assert 0 < expansions <= nodes
