@@ -144,7 +144,8 @@ def _verify(bq, args):
         subsets = ([x for i, x in enumerate(left) if (mask >> i) & 1] for mask in range(count))
     else:
         subsets = [_split_index(args.R or "")]
-    reports = [(s, verify_endo_dimension(bq, validate_index(bq, s))) for s in subsets]
+    indices = [validate_index(bq, s) for s in subsets]
+    reports = [(i.arrows, verify_endo_dimension(bq, i)) for i in indices]
     payload = {
         "ok": all(r.dimensions_match for _, r in reports),
         "reports": [

@@ -14,38 +14,56 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import BoundQuiver, require_finite
+from .core import Arrow, BoundQuiver, require_finite
 from .errors import InvalidWalk, NotStringPair, UnknownArrow
 from .walks import (
     Letter,
     Walk,
     _require_string_pair,
+    _run_path,
+    _runs,
     letter_source,
     letter_target,
     string_problems,
 )
 
 
-def _maximal_run_from(bq: BoundQuiver, state: int, start_vertex: str) -> list[str]:
-    """Greedy relation-free forward extension from an automaton state.
+def _run_step(bq: BoundQuiver, vertex: str, state: int) -> tuple[Arrow, int] | None:
+    """The next arrow and automaton state of the greedy relation-free run
+    from ``(vertex, state)``, or None where it ends.  Under (S2)_R at most
+    one arrow continues a run outside the ideal, so the run is maximal."""
+    for a in bq.out_arrows[vertex]:
+        st = bq.automaton.step(state, a.id)
+        if st is not None:
+            return a, st
+    return None
 
-    Under (S2)_R at most one arrow continues the current run outside the
-    ideal, so the greedy walk is the unique maximal relation-free path.
-    """
+
+def _maximal_run_from(bq: BoundQuiver, state: int, vertex: str) -> list[str]:
+    """Arrows of the greedy relation-free forward extension from ``(vertex, state)``."""
     arrows: list[str] = []
-    vertex = start_vertex
-    while True:
-        nxt = None
-        for a in bq.out_arrows[vertex]:
-            st = bq.automaton.step(state, a.id)
-            if st is not None:
-                nxt = (a, st)
-                break
-        if nxt is None:
-            return arrows
+    while (nxt := _run_step(bq, vertex, state)) is not None:
         a, state = nxt
         arrows.append(a.id)
         vertex = a.target
+    return arrows
+
+
+def _projectives_dim(bq: BoundQuiver) -> int:
+    """dim A = Σ_v dim P(v): one per vertex, and one per arrow and letter of
+    its maximal run, whose lengths are memoised by (vertex, automaton state)."""
+    length: dict = {None: -1}
+    total = len(bq.vertices)
+    for a in bq.arrows:
+        chain, node = [], (a.target, bq.automaton.step(0, a.id))
+        while node not in length:
+            chain.append(node)
+            nxt = _run_step(bq, *node)
+            node = None if nxt is None else (nxt[0].target, nxt[1])
+        for n, node in enumerate(reversed(chain), length[node] + 1):
+            length[node] = n
+        total += 1 + length[node]  # node is back at the run's start
+    return total
 
 
 def projective_string(bq: BoundQuiver, v: str) -> Walk:
@@ -65,11 +83,9 @@ def projective_string(bq: BoundQuiver, v: str) -> Walk:
         branches.append([a.id] + _maximal_run_from(bq, state, a.target))
     if not branches:
         return Walk((), v)
-    forward = branches[0]
-    letters = tuple(Letter(x, False) for x in forward)
+    letters = tuple(Letter(x, False) for x in branches[0])
     if len(branches) > 1:
-        inverse_branch = branches[1]
-        letters = tuple(Letter(x, True) for x in reversed(inverse_branch)) + letters
+        letters = tuple(Letter(x, True) for x in reversed(branches[1])) + letters
     return Walk(letters)
 
 
@@ -142,13 +158,9 @@ def _vertex_at(bq: BoundQuiver, w: Walk, pos: int) -> str:
     return letter_target(bq, w.letters[pos - 1])
 
 
-def _occ_letters(w: Walk, occ: SubstringOccurrence) -> tuple[Letter, ...]:
-    return w.letters[occ.start : occ.end + 1]
-
-
 def _occ_key(bq: BoundQuiver, w: Walk, occ: SubstringOccurrence) -> str | tuple[Letter, ...]:
     """A trivial occurrence matches by its vertex, a nontrivial one by its letters."""
-    return _vertex_at(bq, w, occ.start) if occ.is_trivial else _occ_letters(w, occ)
+    return _vertex_at(bq, w, occ.start) if occ.is_trivial else w.letters[occ.start : occ.end + 1]
 
 
 def _factor_table(bq: BoundQuiver, w: Walk) -> Counter:
@@ -185,14 +197,25 @@ def hom_dim(bq: BoundQuiver, s2: Walk, s1: Walk) -> int:
     return _pair_count(_factor_table(bq, s2), _image_table(bq, s1))
 
 
-def _end_dim(bq: BoundQuiver, summands: list[Walk]) -> int:
-    """dim End of the direct sum of the string modules of ``summands``,
-    which must be strings: the sum of hom_dim over all ordered pairs.  Each
-    term is a factor table times an image table, so the sum is the summed
-    factor tables times the summed image tables."""
-    factors: Counter = Counter()
-    images: Counter = Counter()
-    for w in summands:
-        factors.update(_factor_table(bq, w))
-        images.update(_image_table(bq, w))
-    return _pair_count(factors, images)
+def _arrow_module_homs(bq: BoundQuiver, modules: list[Walk], summands: list[Walk]) -> int:
+    """Σ hom(αA, M(Y)) over the arrow-module strings αA in ``modules`` and
+    the strings Y in ``summands``.  αA runs forward only, so its factor
+    substrings are its start vertex, matched by the peaks of Y there, and
+    its prefixes, matched by suffixes of Y's runs read as paths: proper
+    suffixes, or the whole run if it starts Y (forward) or ends Y (inverse)."""
+    starts = Counter(m.source(bq) for m in modules)
+    prefixes: dict[str, list[tuple[str, ...]]] = {}
+    for arrows in (tuple(l.arrow for l in m.letters) for m in modules if m.letters):
+        prefixes.setdefault(arrows[0], []).append(arrows)
+    total = 0
+    for y in summands:
+        letters, n = y.letters, len(y.letters)
+        total += sum(starts[_vertex_at(bq, y, p)] for p in range(n + 1)
+                     if _boundary_ok(y, p, p - 1, "image"))
+        for start, stop, inv in _runs(letters):
+            path = _run_path(letters, start, stop, inv).arrows
+            whole = stop == n if inv else start == 0
+            for q in range(0 if whole else 1, len(path)):
+                for arrows in prefixes.get(path[q], ()):
+                    total += path[q:] == arrows[: len(path) - q]
+    return total

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .core import Arrow, BoundQuiver, algebra_dim, require_finite
 from .errors import InvalidWalk, NotLeftForbidden, NotSAG
 from .forbidden import perfect_index
-from .strmod import _end_dim, arrow_module_string, projective_string
+from .strmod import _arrow_module_homs, _projectives_dim, arrow_module_string, projective_string
 from .walks import CyclicWalk, Letter, Walk
 
 
@@ -137,12 +137,16 @@ def cma(bq: BoundQuiver) -> TransformResult:
 
 
 def verify_endo_dimension(bq: BoundQuiver, index: RIndex) -> TransformedAlgebraReport:
-    """Compare dim End(A + sum of alpha·A over alpha in R), computed from
-    string-module hom dimensions, with the path-count dimension of the
-    transformed algebra."""
+    """Compare dim End(A ⊕ N), N = ⊕ αA over α in R, with the path-count
+    dimension of the transformed algebra.  By the Yoneda lemma Hom(e_v A, Y)
+    ≅ Y e_v, so A_A contributes Σ_Y dim Y = dim A + dim N over the summands
+    Y, and only the arrow modules αA need hom counts.  At R = ∅ both sides
+    are dim A."""
     _require_sag_finite(bq)
-    summands = [projective_string(bq, v) for v in bq.vertices]
-    summands += [arrow_module_string(bq, alpha) for alpha in index.arrows]
-    dim_source_endo = _end_dim(bq, summands)
+    modules = [arrow_module_string(bq, alpha) for alpha in index.arrows]
+    dim_source_endo = _projectives_dim(bq) + sum(len(m) + 1 for m in modules)
+    if modules:
+        summands = [projective_string(bq, v) for v in bq.vertices] + modules
+        dim_source_endo += _arrow_module_homs(bq, modules, summands)
     result = r_transform(bq, index)
     return TransformedAlgebraReport(result, dim_source_endo, algebra_dim(result.quiver))

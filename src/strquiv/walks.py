@@ -327,14 +327,17 @@ def enumerate_strings(bq: BoundQuiver, max_letters: int) -> list[Walk]:
 # nodes is complete.
 
 
-def _find_product_cycle(bq: BoundQuiver) -> list[Letter] | None:
-    """Shortest letter cycle through an initial node, or None."""
+def _find_product_cycle(bq: BoundQuiver, cap: int) -> list[Letter] | None:
+    """Shortest letter cycle of at most ``cap`` letters through an initial
+    node, the earliest such node on ties, or None.  Each BFS stops after
+    ``cap`` levels, and a cycle found lowers the cap below its length."""
     best: list[Letter] | None = None
     for init in _initial_nodes(bq):
         parent: dict[_Node, _Node | None] = {init: None}
         frontier = [init]
         hit: _Node | None = None
-        while frontier and hit is None:
+        level = 0
+        while frontier and hit is None and level < cap:
             nxt: list[_Node] = []
             for node in frontier:
                 for succ in _node_successors(bq, node):
@@ -347,6 +350,7 @@ def _find_product_cycle(bq: BoundQuiver) -> list[Letter] | None:
                 if hit is not None:
                     break
             frontier = nxt
+            level += 1
         if hit is None:
             continue
         cycle: list[Letter] = []
@@ -355,8 +359,8 @@ def _find_product_cycle(bq: BoundQuiver) -> list[Letter] | None:
             cycle.append(cur[0])
             cur = parent[cur]
         cycle.reverse()
-        if best is None or len(cycle) < len(best):
-            best = cycle
+        best = cycle
+        cap = len(cycle) - 1
     return best
 
 
@@ -368,21 +372,29 @@ def _primitive_root(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return letters
 
 
-def band_exists(bq: BoundQuiver) -> bool:
-    """True iff the transition graph reachable from initial nodes has a cycle."""
+def _band_cycle(bq: BoundQuiver) -> list[Letter] | None:
+    """Letters of the first cycle that a DFS of the transition graph from
+    the initial nodes meets, or None when it is acyclic."""
     _require_string_pair(bq)
     require_finite(bq)
     cycle, _ = depth_first(
         _initial_nodes(bq), lambda node: ((nxt[0], nxt) for nxt in _node_successors(bq, node))
     )
-    return cycle is not None
+    return cycle
+
+
+def band_exists(bq: BoundQuiver) -> bool:
+    """True iff the transition graph reachable from initial nodes has a cycle."""
+    return _band_cycle(bq) is not None
 
 
 def find_band(bq: BoundQuiver) -> CyclicWalk | None:
-    """A shortest-cycle band witness, or None when no band exists."""
-    if not band_exists(bq):
+    """A shortest-cycle band witness, or None when no band exists.  The DFS
+    cycle passes through an initial node, so it caps the search."""
+    cycle = _band_cycle(bq)
+    if cycle is None:
         return None
-    cw = CyclicWalk(_primitive_root(tuple(_find_product_cycle(bq))))
+    cw = CyclicWalk(_primitive_root(tuple(_find_product_cycle(bq, len(cycle)))))
     problems = band_problems(bq, cw)
     assert not problems, f"detector produced an invalid band: {problems}"
     return canonical_band(bq, cw)

@@ -341,3 +341,11 @@ def test_verify_mismatch_exits_1(call):
     assert out == "R={d'}: endo=33 transformed=32 MISMATCH\n"
     code, out, _ = call("verify", FIG5, "--R", "d'", "--json")
     assert code == 1 and json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize("given, label", [("c,a", ["a", "c"]), ("a,a", ["a"])])
+def test_verify_labels_the_index_it_checks(call, given, label):
+    code, out, _ = call("verify", FIG5, "--R", given)
+    assert code == 0 and out.startswith(f"R={{{','.join(label)}}}: ")
+    code, out, _ = call("verify", FIG5, "--R", given, "--json")
+    assert code == 0 and [r["R"] for r in json.loads(out)["reports"]] == [label]

@@ -11,6 +11,8 @@ from strquiv import (
     find_band,
     format_quiver,
     representation_type,
+    validate_index,
+    verify_endo_dimension,
 )
 from strquiv.cli import run
 
@@ -42,6 +44,11 @@ def test_strings(linear):
     # one trivial string per vertex, and n + 1 - l classes of length l
     expected = (N + 1) + sum(N + 1 - length for length in range(1, 5))
     assert len(enumerate_strings(linear, 4)) == expected
+
+
+def test_verify(linear):
+    report = verify_endo_dimension(linear, validate_index(linear, []))
+    assert (report.dim_source_endo, report.dim_transformed) == (DIM, DIM)
 
 
 def test_one_path_end_to_end(linear):

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,9 +18,13 @@ from strquiv import (
     gen_random_sag,
     hom_dim,
     image_substrings,
+    left_forbidden_arrows,
     parse_walk,
     projective_string,
+    validate_index,
+    verify_endo_dimension,
 )
+from strquiv.strmod import _factor_table, _image_table, _pair_count
 
 
 class TestProjectiveString:
@@ -194,3 +201,56 @@ def test_hom_dim_matches_pairwise_reference(seed, fig5):
                 format_walk(s2),
                 format_walk(s1),
             )
+
+
+def _end_dim(bq, summands):
+    """Reference: dim End of the direct sum of the string modules of
+    ``summands``, as the summed factor tables times the summed image
+    tables of every substring occurrence of every summand."""
+    factors: Counter = Counter()
+    images: Counter = Counter()
+    for w in summands:
+        factors.update(_factor_table(bq, w))
+        images.update(_image_table(bq, w))
+    return _pair_count(factors, images)
+
+
+def _assert_split_matches_tables(bq, arrows):
+    index = validate_index(bq, arrows)
+    summands = [projective_string(bq, v) for v in bq.vertices]
+    summands += [arrow_module_string(bq, alpha) for alpha in index.arrows]
+    assert verify_endo_dimension(bq, index).dim_source_endo == _end_dim(bq, summands), arrows
+
+
+def _in_order(bq, arrows):
+    return sorted(arrows, key=lambda x: bq.arrow_index[x])
+
+
+def test_endo_split_matches_tables_on_fig5(fig5):
+    left = _in_order(fig5, left_forbidden_arrows(fig5))
+    for size in range(len(left) + 1):
+        for arrows in itertools.combinations(left, size):
+            _assert_split_matches_tables(fig5, arrows)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_endo_split_matches_tables_on_generated(seed):
+    bq = gen_random_sag(
+        RandomSagSpec(seed=seed, num_vertices=12, num_arrows=18, relation_density=0.5)
+    )
+    left = _in_order(bq, left_forbidden_arrows(bq))
+    for arrows in [[]] + [[alpha] for alpha in left] + [left]:
+        _assert_split_matches_tables(bq, arrows)
+
+
+@pytest.mark.parametrize("n", range(61))
+def test_endo_split_matches_tables_on_linear(n):
+    # A_n has no relations, so R = ∅; there the identity reads dim A = dim A
+    # and is a tautology, but both counts of dim End(A_A) must still agree
+    bq = BoundQuiver.build(
+        [str(i) for i in range(n + 1)], [Arrow(f"a{i}", str(i), str(i + 1)) for i in range(n)]
+    )
+    _assert_split_matches_tables(bq, [])
+    assert verify_endo_dimension(bq, validate_index(bq, [])).dim_source_endo == (
+        (n + 1) * (n + 2) // 2
+    )

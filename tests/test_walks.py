@@ -30,7 +30,14 @@ from strquiv import (
     validate_string,
 )
 from strquiv import walks
-from strquiv.walks import _initial_nodes, _node_successors, _walk_key
+from strquiv.walks import (
+    _band_cycle,
+    _find_product_cycle,
+    _initial_nodes,
+    _node_successors,
+    _primitive_root,
+    _walk_key,
+)
 
 B_TEXT = "a' d'^-1 a e^-1 b' e'^-1 b f^-1 c' f'^-1 c d^-1"
 
@@ -349,3 +356,66 @@ def test_each_node_is_expanded_once(monkeypatch):
     enumerate_strings(gen_random_sag(spec), 10)
     expansions, nodes = len(calls), len(set(calls))
     assert 0 < expansions <= nodes
+
+
+def _uncapped_product_cycle(bq):
+    """Reference: a breadth-first search from every initial node to its
+    end, keeping the first shortest cycle."""
+    best = None
+    for init in _initial_nodes(bq):
+        parent = {init: None}
+        frontier = [init]
+        hit = None
+        while frontier and hit is None:
+            nxt = []
+            for node in frontier:
+                for succ in _node_successors(bq, node):
+                    if succ == init:
+                        hit = node
+                        break
+                    if succ not in parent:
+                        parent[succ] = node
+                        nxt.append(succ)
+                if hit is not None:
+                    break
+            frontier = nxt
+        if hit is None:
+            continue
+        cycle = []
+        cur = hit
+        while cur is not None:
+            cycle.append(cur[0])
+            cur = parent[cur]
+        cycle.reverse()
+        if best is None or len(cycle) < len(best):
+            best = cycle
+    return best
+
+
+def _band_quivers():
+    yield from (_random_string_pair(seed) for seed in range(40))
+    for seed in range(40):
+        for vertices, arrows in ((6, 9), (12, 18), (20, 30)):
+            yield gen_random_sag(
+                RandomSagSpec(seed=seed, num_vertices=vertices, num_arrows=arrows)
+            )
+    yield gen_random_sag(
+        RandomSagSpec(seed=3, num_vertices=200, num_arrows=300, relation_density=0.4)
+    )
+
+
+def test_capped_band_search_matches_uncapped_reference(fig1, fig5):
+    with_band = 0
+    for bq in [fig1, fig5, *_band_quivers()]:
+        reference = _uncapped_product_cycle(bq)
+        cycle = _band_cycle(bq)
+        assert (cycle is None) == (reference is None)
+        if cycle is None:
+            assert find_band(bq) is None
+            continue
+        with_band += 1
+        assert len(reference) <= len(cycle)
+        assert _find_product_cycle(bq, len(cycle)) == reference
+        witness = CyclicWalk(_primitive_root(tuple(reference)))
+        assert find_band(bq) == canonical_band(bq, witness)
+    assert with_band > 100
