@@ -1,5 +1,5 @@
-"""Bound-quiver data model: vertices, arrows, monomial relations, path
-arithmetic, ideal membership, path enumeration and algebra dimension.
+"""Bound-quiver data model: vertices, arrows, monomial relations, ideal
+membership, path enumeration and algebra dimension.
 
 A path is "in the ideal" iff it contains some relation as a contiguous
 factor.  Ideal membership, finiteness and path enumeration all run on the
@@ -25,6 +25,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .classify import Classification
+    from .forbidden import PerfectIndex
 
 TOKEN_RE = re.compile(r"^[A-Za-z0-9_']+$")
 
@@ -209,10 +210,19 @@ class BoundQuiver:
         return frozenset(first for first, _ in self.relation_pairs)
 
     @cached_property
+    def _product_dfs(self) -> tuple[tuple[str, ...] | None, list[tuple[str, int]]]:
+        """The depth-first search of the quiver-automaton product graph from
+        every ``(v, 0)`` in vertex order, each vertex's arrows in declaration
+        order: the arrows of the first relation-free cycle met, or None, and
+        the product nodes finished in post-order."""
+        starts = ((v, 0) for v in self.vertices)
+        cycle, order = depth_first(starts, lambda node: _product_edges(self, node))
+        return (None if cycle is None else tuple(cycle)), order
+
+    @property
     def relation_free_cycle(self) -> tuple[str, ...] | None:
         """Arrows of the first relation-free oriented cycle found, or None."""
-        cycle = _product_search(self)[0]
-        return None if cycle is None else tuple(cycle)
+        return self._product_dfs[0]
 
     @cached_property
     def classification(self) -> "Classification":
@@ -220,30 +230,18 @@ class BoundQuiver:
 
         return _classification(self)
 
+    @cached_property
+    def _perfect_index(self) -> "PerfectIndex":
+        from .forbidden import _perfect_index  # forbidden imports this module
+
+        return _perfect_index(self)
+
     # -- path helpers --
 
     def trivial_path(self, v: str) -> Path:
         if v not in self.vertex_index:
             raise InvalidPath(f"unknown vertex {v!r}")
         return Path((), v)
-
-    def path(self, arrows: Iterable[str]) -> Path:
-        word = tuple(arrows)
-        if not word:
-            raise InvalidPath("use trivial_path for length-zero paths")
-        for x in word:
-            if x not in self.arrow_by_id:
-                raise InvalidPath(f"unknown arrow {x!r}")
-        for x, y in zip(word, word[1:]):
-            if self.arrow_by_id[x].target != self.arrow_by_id[y].source:
-                raise InvalidPath(f"{x} and {y} do not compose")
-        return Path(word)
-
-    def path_source(self, p: Path) -> str:
-        return p.anchor if p.is_trivial else self.arrow_by_id[p.arrows[0]].source
-
-    def path_target(self, p: Path) -> str:
-        return p.anchor if p.is_trivial else self.arrow_by_id[p.arrows[-1]].target
 
 
 def _factor_minimal(rels: list[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
@@ -330,18 +328,6 @@ def _product_edges(bq: BoundQuiver, node: tuple[str, int]) -> Iterator[tuple[str
             yield a.id, (a.target, nxt)
 
 
-def _product_search(bq: BoundQuiver) -> tuple[list[str] | None, list[tuple[str, int]]]:
-    """Depth-first search of the quiver-automaton product graph from every
-    ``(v, 0)`` in vertex order, each vertex's arrows in declaration order."""
-    return depth_first(((v, 0) for v in bq.vertices), lambda node: _product_edges(bq, node))
-
-
-def free_cycle(bq: BoundQuiver) -> list[str] | None:
-    """Arrows of the first relation-free oriented cycle found, or None."""
-    cycle = bq.relation_free_cycle
-    return None if cycle is None else list(cycle)
-
-
 def is_finite_dimensional(bq: BoundQuiver) -> bool:
     """True iff every oriented cycle is blocked by the relations, i.e. the
     quiver-automaton product graph is acyclic."""
@@ -379,12 +365,10 @@ def enumerate_paths(bq: BoundQuiver, frm: str, to: str) -> list[Path]:
 
 def algebra_dim(bq: BoundQuiver) -> int:
     """Number of relation-free paths, trivial paths included."""
-    cycle, order = _product_search(bq)
-    if cycle is not None:
-        raise _infinite(cycle)
+    require_finite(bq)
     # paths starting at each product node, summed over its successors,
     # which post-order has already counted
     count: dict[tuple[str, int], int] = {}
-    for node in order:
+    for node in bq._product_dfs[1]:
         count[node] = 1 + sum(count[nxt] for _, nxt in _product_edges(bq, node))
     return sum(count[(v, 0)] for v in bq.vertices)

@@ -116,6 +116,11 @@ def is_perfect(bq: BoundQuiver, cycle: ForbiddenCycle) -> bool:
 
 
 def perfect_index(bq: BoundQuiver) -> PerfectIndex:
+    """The perfect forbidden cycles and their arrows, computed once per quiver."""
+    return bq._perfect_index
+
+
+def _perfect_index(bq: BoundQuiver) -> PerfectIndex:
     cycles = tuple(c for c in forbidden_cycles(bq) if is_perfect(bq, c))
     arrows = frozenset(x for c in cycles for x in c.arrows)
     return PerfectIndex(arrows, cycles)

@@ -15,7 +15,7 @@ import string as _string
 from dataclasses import dataclass
 
 from .classify import check_s2
-from .core import Arrow, BoundQuiver, free_cycle, is_finite_dimensional
+from .core import Arrow, BoundQuiver, is_finite_dimensional
 from .errors import GenerationExhausted
 
 _REJECTION_BUDGET = 200
@@ -69,7 +69,7 @@ def _with_relations(bq: BoundQuiver, extra: set[tuple[str, str]]) -> BoundQuiver
 def _repair(bq: BoundQuiver) -> BoundQuiver:
     # Cut every relation-free directed cycle with a new length-2 relation.
     while True:
-        cycle = free_cycle(bq)
+        cycle = bq.relation_free_cycle
         if cycle is None:
             break
         follower = cycle[1] if len(cycle) > 1 else cycle[0]

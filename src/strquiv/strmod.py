@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Arrow, BoundQuiver, require_finite
-from .errors import InvalidWalk, NotStringPair, UnknownArrow
+from .core import BoundQuiver, _product_edges, require_finite
+from .errors import InvalidWalk, UnknownArrow
 from .walks import (
     Letter,
     Walk,
@@ -28,42 +28,16 @@ from .walks import (
 )
 
 
-def _run_step(bq: BoundQuiver, vertex: str, state: int) -> tuple[Arrow, int] | None:
-    """The next arrow and automaton state of the greedy relation-free run
-    from ``(vertex, state)``, or None where it ends.  Under (S2)_R at most
-    one arrow continues a run outside the ideal, so the run is maximal."""
-    for a in bq.out_arrows[vertex]:
-        st = bq.automaton.step(state, a.id)
-        if st is not None:
-            return a, st
-    return None
-
-
 def _maximal_run_from(bq: BoundQuiver, state: int, vertex: str) -> list[str]:
-    """Arrows of the greedy relation-free forward extension from ``(vertex, state)``."""
+    """Arrows of the greedy relation-free forward extension from ``(vertex,
+    state)``.  Under (S2)_R at most one arrow continues a run outside the
+    ideal, so the run is maximal."""
     arrows: list[str] = []
-    while (nxt := _run_step(bq, vertex, state)) is not None:
-        a, state = nxt
-        arrows.append(a.id)
-        vertex = a.target
+    node = (vertex, state)
+    while (edge := next(_product_edges(bq, node), None)) is not None:
+        x, node = edge
+        arrows.append(x)
     return arrows
-
-
-def _projectives_dim(bq: BoundQuiver) -> int:
-    """dim A = Σ_v dim P(v): one per vertex, and one per arrow and letter of
-    its maximal run, whose lengths are memoised by (vertex, automaton state)."""
-    length: dict = {None: -1}
-    total = len(bq.vertices)
-    for a in bq.arrows:
-        chain, node = [], (a.target, bq.automaton.step(0, a.id))
-        while node not in length:
-            chain.append(node)
-            nxt = _run_step(bq, *node)
-            node = None if nxt is None else (nxt[0].target, nxt[1])
-        for n, node in enumerate(reversed(chain), length[node] + 1):
-            length[node] = n
-        total += 1 + length[node]  # node is back at the run's start
-    return total
 
 
 def projective_string(bq: BoundQuiver, v: str) -> Walk:
@@ -213,7 +187,7 @@ def _arrow_module_homs(bq: BoundQuiver, modules: list[Walk], summands: list[Walk
         total += sum(starts[_vertex_at(bq, y, p)] for p in range(n + 1)
                      if _boundary_ok(y, p, p - 1, "image"))
         for start, stop, inv in _runs(letters):
-            path = _run_path(letters, start, stop, inv).arrows
+            path = _run_path(letters, start, stop, inv)
             whole = stop == n if inv else start == 0
             for q in range(0 if whole else 1, len(path)):
                 for arrows in prefixes.get(path[q], ()):

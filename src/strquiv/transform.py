@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .core import Arrow, BoundQuiver, algebra_dim, require_finite
 from .errors import InvalidWalk, NotLeftForbidden, NotSAG
 from .forbidden import perfect_index
-from .strmod import _arrow_module_homs, _projectives_dim, arrow_module_string, projective_string
+from .strmod import _arrow_module_homs, arrow_module_string, projective_string
 from .walks import CyclicWalk, Letter, Walk
 
 
@@ -144,7 +144,7 @@ def verify_endo_dimension(bq: BoundQuiver, index: RIndex) -> TransformedAlgebraR
     are dim A."""
     _require_sag_finite(bq)
     modules = [arrow_module_string(bq, alpha) for alpha in index.arrows]
-    dim_source_endo = _projectives_dim(bq) + sum(len(m) + 1 for m in modules)
+    dim_source_endo = algebra_dim(bq) + sum(len(m) + 1 for m in modules)
     if modules:
         summands = [projective_string(bq, v) for v in bq.vertices] + modules
         dim_source_endo += _arrow_module_homs(bq, modules, summands)

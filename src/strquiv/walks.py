@@ -10,10 +10,9 @@ inversion for bands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .core import BoundQuiver, Path, depth_first, in_ideal, require_finite
+from .core import BoundQuiver, depth_first, require_finite, word_in_ideal
 from .errors import NotStringPair, UnknownArrow
 
 
@@ -101,9 +100,10 @@ def _runs(letters: tuple[Letter, ...]) -> list[tuple[int, int, bool]]:
     return runs
 
 
-def _run_path(letters: tuple[Letter, ...], start: int, stop: int, inv: bool) -> Path:
+def _run_path(letters: tuple[Letter, ...], start: int, stop: int, inv: bool) -> tuple[str, ...]:
+    """The arrows of a run, read as a path."""
     arrows = tuple(l.arrow for l in letters[start:stop])
-    return Path(tuple(reversed(arrows)) if inv else arrows)
+    return tuple(reversed(arrows)) if inv else arrows
 
 
 def _check_arrows_known(bq: BoundQuiver, letters: tuple[Letter, ...]) -> None:
@@ -137,12 +137,12 @@ def string_problems(bq: BoundQuiver, w: Walk) -> list[str]:
         if letters[i + 1] == letters[i].inverse():
             problems.append(f"backtrack at position {i}: letter followed by its inverse")
     for start, stop, inv in _runs(letters):
-        p = _run_path(letters, start, stop, inv)
-        if in_ideal(bq, p):
+        word = _run_path(letters, start, stop, inv)
+        if word_in_ideal(bq, word):
             direction = "inverse" if inv else "forward"
             problems.append(
                 f"{direction} run at positions {start}..{stop - 1} lies in the ideal: "
-                + "".join(p.arrows)
+                + "".join(word)
             )
     return problems
 
@@ -178,7 +178,7 @@ def band_problems(bq: BoundQuiver, cw: CyclicWalk) -> list[str]:
         if inv:
             arrows = tuple(reversed(arrows))
         reps = bq.max_relation_length // n + 2
-        if in_ideal(bq, Path(arrows * reps)):
+        if word_in_ideal(bq, arrows * reps):
             problems.append("directed cycle has a power in the ideal")
     else:
         # Rotate so position 0 starts a new run; then runs of any power of
@@ -186,12 +186,10 @@ def band_problems(bq: BoundQuiver, cw: CyclicWalk) -> list[str]:
         t = next(i for i in range(n) if letters[i].inv != letters[i - 1].inv)
         rotated = cw.rotate(t).letters
         for start, stop, inv in _runs(rotated):
-            p = _run_path(rotated, start, stop, inv)
-            if in_ideal(bq, p):
+            word = _run_path(rotated, start, stop, inv)
+            if word_in_ideal(bq, word):
                 direction = "inverse" if inv else "forward"
-                problems.append(
-                    f"cyclic {direction} run lies in the ideal: " + "".join(p.arrows)
-                )
+                problems.append(f"cyclic {direction} run lies in the ideal: " + "".join(word))
     return problems
 
 

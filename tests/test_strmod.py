@@ -10,6 +10,7 @@ from strquiv import (
     InvalidWalk,
     RandomSagSpec,
     Walk,
+    algebra_dim,
     arrow_module_string,
     enumerate_paths,
     enumerate_strings,
@@ -254,3 +255,28 @@ def test_endo_split_matches_tables_on_linear(n):
     assert verify_endo_dimension(bq, validate_index(bq, [])).dim_source_endo == (
         (n + 1) * (n + 2) // 2
     )
+
+
+def _projectives_dim(bq):
+    # A_A = ⊕_v P(v), and dim P(v) is the number of vertices of proj(v)
+    return sum(len(projective_string(bq, v)) + 1 for v in bq.vertices)
+
+
+def test_dim_a_is_the_sum_of_projective_dims_on_fig5(fig5):
+    assert algebra_dim(fig5) == _projectives_dim(fig5)
+
+
+@pytest.mark.parametrize("n", range(61))
+def test_dim_a_is_the_sum_of_projective_dims_on_linear(n):
+    bq = BoundQuiver.build(
+        [str(i) for i in range(n + 1)], [Arrow(f"a{i}", str(i), str(i + 1)) for i in range(n)]
+    )
+    assert algebra_dim(bq) == _projectives_dim(bq) == (n + 1) * (n + 2) // 2
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dim_a_is_the_sum_of_projective_dims_on_generated(seed):
+    bq = gen_random_sag(
+        RandomSagSpec(seed=seed, num_vertices=12, num_arrows=18, relation_density=0.5)
+    )
+    assert algebra_dim(bq) == _projectives_dim(bq)

@@ -17,6 +17,7 @@ from strquiv import (
     find_band,
     format_walk,
     gen_random_sag,
+    is_finite_dimensional,
     left_forbidden_arrows,
     lift_walk,
     parse_quiver,
@@ -213,3 +214,40 @@ def test_classification_is_computed_once_per_quiver(monkeypatch):
         verify_endo_dimension(bq, index)
     # once for (S2), once for the gentle check
     assert len(calls) <= 2
+
+
+def _fresh_fig5():
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "fig5.quiver"
+    return parse_quiver(fixture.read_text())
+
+
+def _count_calls(monkeypatch, module_name, name):
+    module = importlib.import_module(module_name)
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_product_graph_is_searched_once_per_quiver(monkeypatch):
+    calls = _count_calls(monkeypatch, "strquiv.core", "depth_first")
+    bq = _fresh_fig5()
+    assert is_finite_dimensional(bq)
+    assert algebra_dim(bq) == algebra_dim(bq)
+    verify_endo_dimension(bq, validate_index(bq, []))
+    # one search of bq's product graph, one of the transformed quiver's
+    assert len(calls) == 2
+
+
+def test_cma_reuses_the_perfect_index(monkeypatch):
+    calls = _count_calls(monkeypatch, "strquiv.forbidden", "forbidden_cycles")
+    bq = _fresh_fig5()
+    perfect_index(bq)
+    assert len(calls) == 1
+    cma(bq)
+    assert len(calls) == 1
