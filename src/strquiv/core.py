@@ -68,37 +68,32 @@ class FactorAutomaton:
     """
 
     def __init__(self, words: Iterable[tuple[str, ...]]):
-        self._goto: list[dict[str, int]] = [{}]
-        self._fail: list[int] = [0]
-        self._accept: list[bool] = [False]
+        goto: list[dict[str, int]] = [{}]
+        ends: list[int] = []
         for word in words:
             state = 0
             for sym in word:
-                nxt = self._goto[state].get(sym)
+                nxt = goto[state].get(sym)
                 if nxt is None:
-                    nxt = len(self._goto)
-                    self._goto[state][sym] = nxt
-                    self._goto.append({})
-                    self._fail.append(0)
-                    self._accept.append(False)
+                    nxt = goto[state][sym] = len(goto)
+                    goto.append({})
                 state = nxt
-            self._accept[state] = True
-        # breadth-first failure links
-        queue: list[int] = []
-        for sym, s in self._goto[0].items():
-            queue.append(s)
-        i = 0
-        while i < len(queue):
-            state = queue[i]
-            i += 1
-            for sym, nxt in self._goto[state].items():
+            ends.append(state)
+        fail = [0] * len(goto)
+        accept = [False] * len(goto)
+        for state in ends:
+            accept[state] = True
+        # breadth-first failure links; the queue grows while it is read
+        queue = list(goto[0].values())
+        for state in queue:
+            for sym, nxt in goto[state].items():
                 queue.append(nxt)
-                f = self._fail[state]
-                while f and sym not in self._goto[f]:
-                    f = self._fail[f]
-                self._fail[nxt] = self._goto[f].get(sym, 0) if self._goto[f].get(sym, 0) != nxt else 0
-                if self._accept[self._fail[nxt]]:
-                    self._accept[nxt] = True
+                f = fail[state]
+                while f and sym not in goto[f]:
+                    f = fail[f]
+                fail[nxt] = goto[f].get(sym, 0)
+                accept[nxt] = accept[nxt] or accept[fail[nxt]]
+        self._goto, self._fail, self._accept = goto, fail, accept
 
     def step(self, state: int, sym: str) -> int | None:
         while state and sym not in self._goto[state]:
@@ -191,10 +186,6 @@ class BoundQuiver:
         return FactorAutomaton(self.relations)
 
     @cached_property
-    def reversed_automaton(self) -> FactorAutomaton:
-        return FactorAutomaton(tuple(rel[::-1]) for rel in self.relations)
-
-    @cached_property
     def max_relation_length(self) -> int:
         return max((len(r) for r in self.relations), default=0)
 
@@ -223,6 +214,21 @@ class BoundQuiver:
     def relation_free_cycle(self) -> tuple[str, ...] | None:
         """Arrows of the first relation-free oriented cycle found, or None."""
         return self._product_dfs[0]
+
+    @cached_property
+    def _double(self) -> "BoundQuiver":
+        """The double quiver: letter ``2*i`` runs along arrow ``i`` and
+        ``2*i + 1`` against it, every forward letter declared before every
+        inverse one.  Its relations are the relations, their inverses and the
+        backtracks, so its relation-free paths are the nontrivial strings."""
+        idx = self.arrow_index
+        letters = [Arrow(2 * i, a.source, a.target) for i, a in enumerate(self.arrows)]
+        letters += [Arrow(2 * i + 1, a.target, a.source) for i, a in enumerate(self.arrows)]
+        rels = [tuple([2 * idx[x] for x in r]) for r in self.relations]
+        rels += [tuple([k + 1 for k in reversed(r)]) for r in rels]
+        rels += [(k, k ^ 1) for k in range(2 * len(self.arrows))]
+        # the words compose, and they are factor-minimal since the relations are
+        return BoundQuiver(self.vertices, tuple(letters), tuple(rels))
 
     @cached_property
     def classification(self) -> "Classification":

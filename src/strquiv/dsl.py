@@ -116,6 +116,9 @@ def quiver_from_json(data: dict | str) -> BoundQuiver:
     try:
         if isinstance(data, str):
             data = json.loads(data)
+        lists = (data["vertices"], data["arrows"], data["relations"], *data["relations"])
+        if not all(isinstance(x, list) for x in lists):
+            raise ParseError(1, 1, "vertices, arrows and each relation must be JSON arrays")
         vertices = tuple(data["vertices"])
         arrows = [Arrow(a["id"], a["source"], a["target"]) for a in data["arrows"]]
         relations = [tuple(rel) for rel in data["relations"]]

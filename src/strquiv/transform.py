@@ -42,6 +42,7 @@ class TransformedAlgebraReport:
 
 
 def validate_index(bq: BoundQuiver, arrows) -> RIndex:
+    arrows = tuple(arrows)
     for x in arrows:
         if x not in bq.left_forbidden_arrows:
             raise NotLeftForbidden(x)

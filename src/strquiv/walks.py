@@ -5,14 +5,20 @@ backward.  A string is a reduced walk whose maximal same-direction runs
 avoid the ideal; a band is a primitive cyclic string all of whose powers
 remain strings.  Equivalence is inversion for strings, rotation plus
 inversion for bands.
+
+The strings are the relation-free paths of the double quiver, which has a
+letter per arrow and direction and takes the relations, their inverses and
+the backtracks as its relations.  So one product graph serves both:
+enumeration walks its paths, and a band exists iff it has a relation-free
+cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .core import BoundQuiver, depth_first, require_finite, word_in_ideal
+from .core import BoundQuiver, _product_edges, require_finite, word_in_ideal
 from .errors import NotStringPair, UnknownArrow
 
 
@@ -231,53 +237,23 @@ def canonical_band(bq: BoundQuiver, cw: CyclicWalk) -> CyclicWalk:
 
 
 # ---------------------------------------------------------------------------
-# The run-aware transition graph of walks
+# Run starts of the double quiver (``BoundQuiver._double``)
 #
-# Nodes are (letter, forward-state, backward-state): the two Aho-Corasick
-# states track forbidden factors of the current forward run and of the
-# reversed word of the current inverse run.  A plain letter-pair digraph
-# would miss relations of length >= 3 (three pairwise relation-free arrows
-# can still compose into a forbidden path), so the automaton states are
-# carried along the walk.  The walks read off paths from initial nodes are
-# exactly the nontrivial strings.
-
-_Node = tuple[Letter, int, int]
+# The paths of its product graph from the node after a single letter spell
+# the nontrivial strings.  A relation lies inside one run, so each node
+# after a change of direction is one of these run starts.
 
 
-def _node_successors(bq: BoundQuiver, node: _Node) -> Iterator[_Node]:
-    letter, fstate, bstate = node
-    end = letter_target(bq, letter)
-    for a in bq.out_arrows[end]:
-        cand = Letter(a.id, False)
-        if cand == letter.inverse():
-            continue
-        prev = fstate if not letter.inv else 0
-        nxt = bq.automaton.step(prev, a.id)
-        if nxt is None:
-            continue
-        yield (cand, nxt, 0)
-    for a in bq.in_arrows[end]:
-        cand = Letter(a.id, True)
-        if cand == letter.inverse():
-            continue
-        prev = bstate if letter.inv else 0
-        nxt = bq.reversed_automaton.step(prev, a.id)
-        if nxt is None:
-            continue
-        yield (cand, 0, nxt)
+def _letter_table(bq: BoundQuiver) -> list[Letter]:
+    """The letter of each double-quiver letter id."""
+    return [Letter(a.id, inv) for a in bq.arrows for inv in (False, True)]
 
 
-def _initial_nodes(bq: BoundQuiver) -> list[_Node]:
-    """Nodes that start a fresh run, one per letter, in letter-key order."""
-    nodes: list[_Node] = []
-    for a in bq.arrows:
-        st = bq.automaton.step(0, a.id)
-        if st is not None:
-            nodes.append((Letter(a.id, False), st, 0))
-        st = bq.reversed_automaton.step(0, a.id)
-        if st is not None:
-            nodes.append((Letter(a.id, True), 0, st))
-    return nodes
+def _run_starts(bq: BoundQuiver) -> list[tuple[int, tuple[str, int]]]:
+    """Each letter id with the product node its single letter reaches, in
+    letter-key order."""
+    w = bq._double
+    return [(k, (w.arrow_by_id[k].target, w.automaton.step(0, k))) for k in range(len(w.arrows))]
 
 
 # ---------------------------------------------------------------------------
@@ -289,61 +265,57 @@ def enumerate_strings(bq: BoundQuiver, max_letters: int) -> list[Walk]:
 
     Deterministic order: trivial strings in vertex order, then nontrivial
     canonical forms sorted by (length, letter keys).  One DFS over the
-    transition graph, expanding each node once, reaches every nontrivial
-    string and its inverse once; each entry carries the letter keys of both,
-    and the class is emitted from its canonical end.
+    double quiver's product graph, expanding each node once, reaches every
+    nontrivial string and its inverse once; each entry carries the letter
+    ids of both, and the class is emitted from its canonical end.
     """
     _require_string_pair(bq)
-
-    def keyed(node: _Node) -> tuple[_Node, tuple[int, int], tuple[int, int]]:
-        return node, _letter_key(bq, node[0]), _letter_key(bq, node[0].inverse())
-
-    succ: dict[_Node, list[tuple[_Node, tuple[int, int], tuple[int, int]]]] = {}
+    w, letters = bq._double, _letter_table(bq)
+    succ: dict[tuple[str, int], list[tuple[tuple[str, int], Letter, int, int]]] = {}
     found = []
-    stack = [(n, (n[0],), (k,), (ik,)) for n, k, ik in map(keyed, _initial_nodes(bq))]
+    stack = [(node, (letters[k],), (k,), (k ^ 1,)) for k, node in _run_starts(bq)]
     while stack and max_letters >= 1:
-        node, letters, key, inv_key = stack.pop()
+        node, word, key, inv_key = stack.pop()
         if key <= inv_key:
-            found.append((len(letters), key, letters))
-        if len(letters) < max_letters:
+            found.append((len(word), key, word))
+        if len(word) < max_letters:
             if node not in succ:
-                succ[node] = [keyed(n) for n in _node_successors(bq, node)]
-            stack += [(n, letters + (n[0],), key + (k,), (ik,) + inv_key)
-                      for n, k, ik in succ[node]]
+                succ[node] = [(n, letters[k], k, k ^ 1) for k, n in _product_edges(w, node)]
+            stack += [(n, word + (l,), key + (k,), (ik,) + inv_key) for n, l, k, ik in succ[node]]
     found.sort()
-    return [Walk((), v) for v in bq.vertices] + [Walk(letters) for _, _, letters in found]
+    return [Walk((), v) for v in bq.vertices] + [Walk(word) for _, _, word in found]
 
 
 # ---------------------------------------------------------------------------
 # Band existence and representation type
 #
-# A cycle must return to the same node, not merely the same letter: state
-# continuity across the wrap is what guarantees that every power of the
-# cycle stays relation-free.  Every mixed-direction cycle contains a run
-# boundary and hence an initial node, and one-direction cycles are ruled
-# out by the finite-dimensionality precondition, so searching from initial
-# nodes is complete.
+# A band's powers are all strings, so it is a cycle of the product graph,
+# and conversely.  One-direction cycles are ruled out by the
+# finite-dimensionality precondition, so every cycle changes direction and
+# passes through a run start.
 
 
 def _find_product_cycle(bq: BoundQuiver, cap: int) -> list[Letter] | None:
-    """Shortest letter cycle of at most ``cap`` letters through an initial
-    node, the earliest such node on ties, or None.  Each BFS stops after
-    ``cap`` levels, and a cycle found lowers the cap below its length."""
-    best: list[Letter] | None = None
-    for init in _initial_nodes(bq):
-        parent: dict[_Node, _Node | None] = {init: None}
+    """Shortest letter cycle of at most ``cap`` letters through a run start,
+    the earliest one on ties, or None.  Each BFS stops after ``cap`` levels,
+    and a cycle found lowers the cap below its length."""
+    w = bq._double
+    best: list[int] | None = None
+    for first, init in _run_starts(bq):
+        # each reached node with its predecessor and the letter between them
+        parent: dict[tuple[str, int], tuple[tuple[str, int], int]] = {}
         frontier = [init]
-        hit: _Node | None = None
+        hit: tuple[str, int] | None = None
         level = 0
         while frontier and hit is None and level < cap:
-            nxt: list[_Node] = []
+            nxt: list[tuple[str, int]] = []
             for node in frontier:
-                for succ in _node_successors(bq, node):
+                for k, succ in _product_edges(w, node):
                     if succ == init:
                         hit = node
                         break
                     if succ not in parent:
-                        parent[succ] = node
+                        parent[succ] = (node, k)
                         nxt.append(succ)
                 if hit is not None:
                     break
@@ -351,15 +323,13 @@ def _find_product_cycle(bq: BoundQuiver, cap: int) -> list[Letter] | None:
             level += 1
         if hit is None:
             continue
-        cycle: list[Letter] = []
-        cur: _Node | None = hit
-        while cur is not None:
-            cycle.append(cur[0])
-            cur = parent[cur]
-        cycle.reverse()
-        best = cycle
-        cap = len(cycle) - 1
-    return best
+        cycle = []
+        while hit != init:
+            hit, k = parent[hit]
+            cycle.append(k)
+        best = [first, *reversed(cycle)]
+        cap = len(best) - 1
+    return None if best is None else [_letter_table(bq)[k] for k in best]
 
 
 def _primitive_root(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
@@ -370,25 +340,21 @@ def _primitive_root(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return letters
 
 
-def _band_cycle(bq: BoundQuiver) -> list[Letter] | None:
-    """Letters of the first cycle that a DFS of the transition graph from
-    the initial nodes meets, or None when it is acyclic."""
+def _band_cycle(bq: BoundQuiver) -> tuple[int, ...] | None:
+    """Letter ids of the double quiver's first relation-free cycle, or None."""
     _require_string_pair(bq)
     require_finite(bq)
-    cycle, _ = depth_first(
-        _initial_nodes(bq), lambda node: ((nxt[0], nxt) for nxt in _node_successors(bq, node))
-    )
-    return cycle
+    return bq._double.relation_free_cycle
 
 
 def band_exists(bq: BoundQuiver) -> bool:
-    """True iff the transition graph reachable from initial nodes has a cycle."""
+    """True iff the double quiver has a relation-free cycle."""
     return _band_cycle(bq) is not None
 
 
 def find_band(bq: BoundQuiver) -> CyclicWalk | None:
-    """A shortest-cycle band witness, or None when no band exists.  The DFS
-    cycle passes through an initial node, so it caps the search."""
+    """A shortest-cycle band witness, or None when no band exists.  The
+    double quiver's cycle passes through a run start, so it caps the search."""
     cycle = _band_cycle(bq)
     if cycle is None:
         return None

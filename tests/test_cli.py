@@ -300,6 +300,15 @@ def test_bad_input_exit_2(call, tmp_path, content, argv, tag):
     assert err.startswith(tag + " ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_json_strings_are_not_arrays_exit_2(call, tmp_path):
+    path = tmp_path / "input.json"
+    arrows = '[{"id": "a", "source": "1", "target": "2"}, {"id": "b", "source": "2", "target": "1"}]'
+    path.write_text(f'{{"vertices": "12", "arrows": {arrows}, "relations": ["ab", "ba"]}}')
+    code, out, err = call("dim", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("ParseError ") and "JSON arrays" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     ("argv", "option"),
     [

@@ -62,6 +62,23 @@ class TestRoundTrip:
         assert quiver_from_json(quiver_to_json(bq)) == bq
 
 
+_TWO_CYCLE = {
+    "vertices": ["1", "2"],
+    "arrows": [{"id": "a", "source": "1", "target": "2"}, {"id": "b", "source": "2", "target": "1"}],
+    "relations": [["a", "b"], ["b", "a"]],
+}
+
+
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [("vertices", "12"), ("arrows", "ab"), ("relations", ["ab", "ba"]), ("relations", "ab")],
+)
+def test_json_strings_are_not_arrays(key, value):
+    assert quiver_from_json(_TWO_CYCLE).relations == (("a", "b"), ("b", "a"))
+    with pytest.raises(ParseError):
+        quiver_from_json(json.dumps({**_TWO_CYCLE, key: value}))
+
+
 class TestWalkText:
     def test_linear(self, fig5):
         w = parse_walk(fig5, "a'^-1 d a e'")

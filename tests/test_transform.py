@@ -44,6 +44,10 @@ class TestValidateIndex:
     def test_empty_always_valid(self, fig1):
         assert validate_index(fig1, []).arrows == ()
 
+    def test_iterator_gives_the_same_index(self, fig5):
+        idx = validate_index(fig5, (x for x in ["a", "a'"]))
+        assert idx == validate_index(fig5, ["a", "a'"]) and idx.arrows == ("a", "a'")
+
     def test_not_left_forbidden(self):
         bq = BoundQuiver.build(["1", "2"], [Arrow("a", "1", "2")])
         with pytest.raises(NotLeftForbidden):

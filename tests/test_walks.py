@@ -14,6 +14,7 @@ from strquiv import (
     RandomSagSpec,
     UnknownArrow,
     Walk,
+    algebra_dim,
     band_exists,
     band_problems,
     canonical_band,
@@ -30,13 +31,13 @@ from strquiv import (
     validate_string,
 )
 from strquiv import walks
+from strquiv.core import FactorAutomaton
 from strquiv.walks import (
     _band_cycle,
     _find_product_cycle,
-    _initial_nodes,
-    _node_successors,
     _primitive_root,
     _walk_key,
+    letter_target,
 )
 
 B_TEXT = "a' d'^-1 a e^-1 b' e'^-1 b f^-1 c' f'^-1 c d^-1"
@@ -275,6 +276,57 @@ def test_cli_prints_the_string_pair_witnesses(tmp_path, capsys):
     assert err.startswith("NotStringPair") and "degree 3; continuation-R b" in err
 
 
+# Reference transition graph of walks: nodes are (letter, forward-state,
+# backward-state), the two Aho-Corasick states tracking forbidden factors of
+# the current forward run and of the reversed word of the current inverse run.
+
+_REVERSED_AUTOMATA = {}
+
+
+def _reversed_automaton(bq):
+    """The factor automaton of the reversed relations, built once per quiver."""
+    if id(bq) not in _REVERSED_AUTOMATA:
+        automaton = FactorAutomaton(tuple(rel[::-1]) for rel in bq.relations)
+        _REVERSED_AUTOMATA[id(bq)] = (bq, automaton)  # keeps bq, and so its id, alive
+    return _REVERSED_AUTOMATA[id(bq)][1]
+
+
+def _node_successors(bq, node):
+    letter, fstate, bstate = node
+    end = letter_target(bq, letter)
+    for a in bq.out_arrows[end]:
+        cand = Letter(a.id, False)
+        if cand == letter.inverse():
+            continue
+        prev = fstate if not letter.inv else 0
+        nxt = bq.automaton.step(prev, a.id)
+        if nxt is None:
+            continue
+        yield (cand, nxt, 0)
+    for a in bq.in_arrows[end]:
+        cand = Letter(a.id, True)
+        if cand == letter.inverse():
+            continue
+        prev = bstate if letter.inv else 0
+        nxt = _reversed_automaton(bq).step(prev, a.id)
+        if nxt is None:
+            continue
+        yield (cand, 0, nxt)
+
+
+def _initial_nodes(bq):
+    """Nodes that start a fresh run, one per letter, in letter-key order."""
+    nodes = []
+    for a in bq.arrows:
+        st = bq.automaton.step(0, a.id)
+        if st is not None:
+            nodes.append((Letter(a.id, False), st, 0))
+        st = _reversed_automaton(bq).step(0, a.id)
+        if st is not None:
+            nodes.append((Letter(a.id, True), 0, st))
+    return nodes
+
+
 def _per_walk_reference(bq, max_letters):
     """Reference: canonicalise every walk the transition-graph DFS visits and
     keep a set of the classes already emitted."""
@@ -345,13 +397,13 @@ class TestEnumerateMatchesReference:
 
 def test_each_node_is_expanded_once(monkeypatch):
     calls = []
-    expand = walks._node_successors
+    expand = walks._product_edges
 
     def counted(bq, node):
         calls.append(node)
         return expand(bq, node)
 
-    monkeypatch.setattr(walks, "_node_successors", counted)
+    monkeypatch.setattr(walks, "_product_edges", counted)
     spec = RandomSagSpec(seed=3, num_vertices=100, num_arrows=150, relation_density=0.4)
     enumerate_strings(gen_random_sag(spec), 10)
     expansions, nodes = len(calls), len(set(calls))
@@ -419,3 +471,49 @@ def test_capped_band_search_matches_uncapped_reference(fig1, fig5):
         witness = CyclicWalk(_primitive_root(tuple(reference)))
         assert find_band(bq) == canonical_band(bq, witness)
     assert with_band > 100
+
+
+def _rebuilt(w):
+    return BoundQuiver.build(w.vertices, w.arrows, w.relations)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig5"])
+def test_double_quiver_passes_validation(request, name):
+    bq = request.getfixturevalue(name)
+    assert _rebuilt(bq._double) == bq._double
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_generated_double_quivers_pass_validation(seed):
+    for bq in (_random_string_pair(seed), gen_random_sag(RandomSagSpec(seed=seed))):
+        assert _rebuilt(bq._double) == bq._double
+
+
+def _finite_type_count(bq):
+    """(dim W + |Q0|)/2 for the double quiver W, checked against enumeration:
+    W's nontrivial paths are the nontrivial strings, each class twice."""
+    assert representation_type(bq) == "finite"
+    dim_w = algebra_dim(bq._double)
+    assert (dim_w - len(bq.vertices)) % 2 == 0
+    count = (dim_w + len(bq.vertices)) // 2
+    assert count == len(enumerate_strings(bq, dim_w))
+    return count
+
+
+@pytest.mark.parametrize("n", range(31))
+def test_finite_type_string_count_on_linear(n):
+    bq = BoundQuiver.build(
+        [str(i) for i in range(n + 1)], [Arrow(f"a{i}", str(i), str(i + 1)) for i in range(n)]
+    )
+    assert _finite_type_count(bq) == (n + 1) + n * (n + 1) // 2
+
+
+def test_finite_type_string_count_on_generated():
+    finite = 0
+    for seed in range(300):
+        spec = RandomSagSpec(seed=seed, num_vertices=7, num_arrows=8, relation_density=0.6)
+        bq = gen_random_sag(spec)
+        if representation_type(bq) == "finite":
+            _finite_type_count(bq)
+            finite += 1
+    assert finite > 100
