@@ -106,8 +106,11 @@ class FactorAutomaton:
 class BoundQuiver:
     """An immutable pair (quiver, monomial relation set).
 
-    Construct through :meth:`build`, which validates ids and endpoints and
-    normalizes the relation set to factor-minimal generators.
+    Outside input (the DSL, JSON, library callers) goes through
+    :meth:`build`, which validates ids and endpoints and normalizes the
+    relation set to factor-minimal generators.  Quivers derived from a built
+    one (the double quiver, the split quiver, the generator's) use the plain
+    constructor; tests check that :meth:`build` leaves them unchanged.
     """
 
     vertices: tuple[str, ...]
@@ -340,15 +343,12 @@ def is_finite_dimensional(bq: BoundQuiver) -> bool:
     return bq.relation_free_cycle is None
 
 
-def _infinite(cycle: Iterable[str]) -> InfiniteDimensional:
-    return InfiniteDimensional("relation-free oriented cycle exists: " + " ".join(cycle))
-
-
 def require_finite(bq: BoundQuiver) -> None:
     """Raise InfiniteDimensional, naming a relation-free oriented cycle,
     unless the algebra is finite-dimensional."""
-    if bq.relation_free_cycle is not None:
-        raise _infinite(bq.relation_free_cycle)
+    if not is_finite_dimensional(bq):
+        cycle = " ".join(bq.relation_free_cycle)
+        raise InfiniteDimensional("relation-free oriented cycle exists: " + cycle)
 
 
 def enumerate_paths(bq: BoundQuiver, frm: str, to: str) -> list[Path]:

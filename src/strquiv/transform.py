@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Arrow, BoundQuiver, algebra_dim, require_finite
-from .errors import InvalidWalk, NotLeftForbidden, NotSAG
+from .errors import DuplicateId, InvalidWalk, NotLeftForbidden, NotSAG
 from .forbidden import perfect_index
 from .strmod import _arrow_module_homs, arrow_module_string, projective_string
 from .walks import CyclicWalk, Letter, Walk
@@ -61,6 +61,8 @@ def _fresh_id(base: str, taken: set[str]) -> str:
 
 def r_transform(bq: BoundQuiver, index: RIndex) -> TransformResult:
     members = set(index.arrows)
+    if len(members) < len(index.arrows):  # a hand-built RIndex is outside input
+        raise DuplicateId(f"index repeats an arrow: {' '.join(index.arrows)}")
     taken = set(bq.vertices) | {a.id for a in bq.arrows}
 
     vertex_map = {alpha: _fresh_id(f"v_{alpha}", taken) for alpha in index.arrows}
@@ -95,8 +97,11 @@ def r_transform(bq: BoundQuiver, index: RIndex) -> TransformResult:
                 out.extend((left, right))
         return tuple(out)
 
+    # The ids are fresh, and each expanded generator maps back letter by
+    # letter to its source generator, so the relations stay composable and
+    # factor-minimal: the plain constructor suffices.
     relations = tuple(expand(rel) for rel in bq.relations)
-    quiver = BoundQuiver.build(vertices, tuple(arrows), relations)
+    quiver = BoundQuiver(vertices, tuple(arrows), relations)
     return TransformResult(quiver, vertex_map, arrow_map)
 
 

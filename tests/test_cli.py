@@ -131,6 +131,15 @@ def test_domain_error_exit_1(call):
     assert code == 1 and err.startswith("NotSAG")
 
 
+def test_gen_with_more_than_two_arrows_per_vertex_exits_1(call):
+    code, out, err = call("gen", "--seed", "1", "--vertices", "5", "--arrows", "11")
+    assert code == 1 and out == ""
+    assert err == (
+        "GenerationExhausted 11 arrows exceed the 10 that 5 vertices "
+        "of out-degree at most 2 allow\n"
+    )
+
+
 def test_usage_error_exit_2(call):
     code, _, _ = call("no-such-verb")
     assert code == 2

@@ -2,7 +2,9 @@ import hashlib
 
 import pytest
 
+import strquiv.generate
 from strquiv import (
+    BoundQuiver,
     GenerationExhausted,
     RandomSagSpec,
     classify,
@@ -40,6 +42,33 @@ def test_unsatisfiable_bounds_exhaust():
         gen_random_sag(RandomSagSpec(seed=1, num_vertices=1, num_arrows=5))
 
 
+def test_unsatisfiable_bounds_are_rejected_before_sampling(monkeypatch):
+    calls = []
+    names = strquiv.generate._arrow_names
+    monkeypatch.setattr(strquiv.generate, "_arrow_names", lambda n: calls.append(n) or names(n))
+    with pytest.raises(GenerationExhausted, match="11 arrows exceed the 10 that 5 vertices"):
+        gen_random_sag(RandomSagSpec(seed=1, num_vertices=5, num_arrows=11))
+    assert calls == []
+
+
+def test_two_arrows_per_vertex_is_satisfiable():
+    for seed in range(20):
+        bq = gen_random_sag(RandomSagSpec(seed=seed, num_vertices=5, num_arrows=10))
+        assert len(bq.arrows) == 10 and classify(bq).is_sag
+
+
+@pytest.mark.parametrize(
+    ("vertices", "arrows"), [(1, 2), (3, 6), (5, 7), (8, 12), (12, 18), (40, 60)]
+)
+def test_output_is_unchanged_by_build(vertices, arrows):
+    # the generator uses the plain constructor; build must have nothing to fix
+    for seed in range(20):
+        for density in (0.0, 0.4, 1.0):
+            spec = RandomSagSpec(seed, vertices, arrows, density)
+            bq = gen_random_sag(spec)
+            assert BoundQuiver.build(bq.vertices, bq.arrows, bq.relations) == bq, spec
+
+
 def test_density_extremes():
     sparse = gen_random_sag(RandomSagSpec(seed=2, relation_density=0.0))
     dense = gen_random_sag(RandomSagSpec(seed=2, relation_density=1.0))
@@ -59,6 +88,8 @@ GOLDEN_SHA256 = {
     (100, 150, 1): "8fa6b3e925b875ffd35e2b7b78803b7a39a5b8ff5dac74920ebb711edfbafdcb",
     (100, 150, 2): "bcca538479b6933be1b54b266534394b440b6f34db604af24c98f2556c2a3ac0",
     (100, 150, 3): "e5d312ba351d9b46c9f56da1fa4bfed7d35ad798ed0aae8ae34b7ca84697ee19",
+    (1000, 1500, 3): "bc5ce0d6423bfd0e4d977a60017c4df0484df30a9619a9f778e3e19009e7dfdb",
+    (3000, 4500, 3): "b20fdd534f5887d261948e96e1065b5e1598eb6a7238e6cbaad0d35877a62250",
 }
 
 

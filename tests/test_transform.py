@@ -1,4 +1,6 @@
 import importlib
+import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from strquiv import (
     Arrow,
     BoundQuiver,
+    DuplicateId,
     NotLeftForbidden,
     NotSAG,
+    RIndex,
     RandomSagSpec,
     Walk,
     algebra_dim,
@@ -91,6 +95,70 @@ class TestRTransform:
     def test_sag_preserved(self, fig5):
         tr = r_transform(fig5, validate_index(fig5, ["a", "b", "c"]))
         assert classify(tr.quiver).is_sag
+
+
+def _random_bound_quiver(seed: int) -> BoundQuiver:
+    """A quiver on 2-6 vertices whose relations are random paths of length
+    2-5, normalised by build."""
+    rng = random.Random(seed)
+    vertices = [f"v{i}" for i in range(rng.randint(2, 6))]
+    arrows = [Arrow(f"x{j}", rng.choice(vertices), rng.choice(vertices))
+              for j in range(rng.randint(1, 9))]
+    relations = []
+    for _ in range(rng.randint(1, 6)):
+        word = [rng.choice(arrows)]
+        length = rng.randint(2, 5)
+        while len(word) < length:
+            nexts = [a for a in arrows if a.source == word[-1].target]
+            if not nexts:
+                break
+            word.append(rng.choice(nexts))
+        if len(word) > 1:
+            relations.append([a.id for a in word])
+    return BoundQuiver.build(vertices, arrows, relations)
+
+
+def _split_quivers(bq: BoundQuiver):
+    """The split quiver at every subset of the left-forbidden arrows."""
+    lf = [a.id for a in bq.arrows if a.id in bq.left_forbidden_arrows]
+    for r in range(len(lf) + 1):
+        for subset in itertools.combinations(lf, r):
+            yield r_transform(bq, validate_index(bq, subset)).quiver
+
+
+def _unchanged_by_build(q: BoundQuiver) -> bool:
+    return BoundQuiver.build(q.vertices, q.arrows, q.relations) == q
+
+
+class TestSplitQuiverNeedsNoBuild:
+    """r_transform uses the plain constructor; build must have nothing to
+    validate or normalise in its output."""
+
+    def test_fig1_every_index(self, fig1):
+        assert all(_unchanged_by_build(q) for q in _split_quivers(fig1))
+
+    def test_fig5_every_index(self, fig5):
+        quivers = list(_split_quivers(fig5))
+        assert len(quivers) == 4096
+        assert all(_unchanged_by_build(q) for q in quivers)
+
+    def test_random_bound_quivers(self):
+        quivers = [_random_bound_quiver(seed) for seed in range(1500)]
+        assert sum(any(len(r) > 2 for r in bq.relations) for bq in quivers) > 500
+        for seed, bq in enumerate(quivers):
+            assert all(_unchanged_by_build(q) for q in _split_quivers(bq)), seed
+
+    def test_generated_quivers(self):
+        for seed in range(20):
+            bq = gen_random_sag(RandomSagSpec(seed, 12, 18, 0.4))
+            lf = [a.id for a in bq.arrows if a.id in bq.left_forbidden_arrows]
+            for subset in (lf, lf[::2], lf[1::3]):
+                q = r_transform(bq, validate_index(bq, subset)).quiver
+                assert _unchanged_by_build(q), (seed, subset)
+
+    def test_hand_built_index_repeating_an_arrow(self, fig5):
+        with pytest.raises(DuplicateId):
+            r_transform(fig5, RIndex(("a", "a")))
 
 
 class TestLiftWalk:
