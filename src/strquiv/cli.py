@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path as FilePath
 
@@ -259,18 +260,20 @@ def run(argv: list[str]) -> int:
     try:
         bq = _load_quiver(args.file) if "file" in args else None
         payload, lines = _VERBS[args.verb][0](bq, args)
+        if args.json and payload is not None:
+            lines = [json.dumps(payload)]
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
     except (ParseError, InvalidWalkText, OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # the interpreter flushes stdout again at exit
+            sys.stdout = open(os.devnull, "w")
         tag = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
         print(f"{tag} {exc}", file=sys.stderr)
         return 2
     except QuiverError as exc:
         print(f"{exc.tag} {exc}", file=sys.stderr)
         return 1
-    if args.json and payload is not None:
-        print(json.dumps(payload))
-    else:
-        for line in lines:
-            print(line)
     return 0 if payload is None or payload.get("ok", True) else 1
 
 

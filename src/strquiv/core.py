@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     DanglingEndpoint,
@@ -28,6 +28,10 @@ if TYPE_CHECKING:
     from .forbidden import PerfectIndex
 
 TOKEN_RE = re.compile(r"^[A-Za-z0-9_']+$")
+
+# product-graph nodes (vertex, automaton state), made and stepped only here
+_ProductNode = tuple[str, int]
+_ProductEdge = tuple[str, _ProductNode]
 
 
 def is_token(s: str) -> bool:
@@ -204,14 +208,9 @@ class BoundQuiver:
         return frozenset(first for first, _ in self.relation_pairs)
 
     @cached_property
-    def _product_dfs(self) -> tuple[tuple[str, ...] | None, list[tuple[str, int]]]:
-        """The depth-first search of the quiver-automaton product graph from
-        every ``(v, 0)`` in vertex order, each vertex's arrows in declaration
-        order: the arrows of the first relation-free cycle met, or None, and
-        the product nodes finished in post-order."""
-        starts = ((v, 0) for v in self.vertices)
-        cycle, order = depth_first(starts, lambda node: _product_edges(self, node))
-        return (None if cycle is None else tuple(cycle)), order
+    def _product_dfs(self) -> tuple[tuple | None, dict[_ProductNode, list[_ProductEdge]]]:
+        """:func:`depth_first` of this quiver, run once."""
+        return depth_first(self)
 
     @property
     def relation_free_cycle(self) -> tuple[str, ...] | None:
@@ -244,13 +243,6 @@ class BoundQuiver:
         from .forbidden import _perfect_index  # forbidden imports this module
 
         return _perfect_index(self)
-
-    # -- path helpers --
-
-    def trivial_path(self, v: str) -> Path:
-        if v not in self.vertex_index:
-            raise InvalidPath(f"unknown vertex {v!r}")
-        return Path((), v)
 
 
 def _factor_minimal(rels: list[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
@@ -290,46 +282,46 @@ def word_in_ideal(bq: BoundQuiver, word: tuple[str, ...]) -> bool:
     return False
 
 
-def depth_first(
-    starts: Iterable[Hashable],
-    successors: Callable[[Hashable], Iterable[tuple[object, Hashable]]],
-) -> tuple[list | None, list]:
-    """Iterative depth-first search from ``starts``, in order.
+def depth_first(bq: BoundQuiver) -> tuple[tuple | None, dict[_ProductNode, list[_ProductEdge]]]:
+    """Iterative depth-first search of the quiver-automaton product graph
+    from every ``(v, 0)`` in vertex order, each vertex's arrows in
+    declaration order.
 
-    ``successors(node)`` yields ``(label, next_node)`` edges.  Returns the
-    labels of the edges around the first cycle met, or ``None`` when the
-    graph reachable from ``starts`` is acyclic, together with the nodes
-    finished so far in post-order (every successor of a node comes before
-    it).
+    Returns the arrows around the first cycle met, or ``None`` when the
+    graph is acyclic, together with the out-edges of each node finished so
+    far, keyed in post-order (every successor of a node comes before it).
     """
-    ON_STACK, DONE = 1, 2
-    color: dict = {}
-    order: list = []
-    for start in starts:
-        if start in color:
+    entered: set[_ProductNode] = set()
+    done: dict[_ProductNode, list[_ProductEdge]] = {}
+    for v in bq.vertices:
+        if (v, 0) in done:
             continue
-        color[start] = ON_STACK
-        # entries: (node, label of the edge that entered it, its edge iterator)
-        stack = [(start, None, iter(successors(start)))]
+        entered.add((v, 0))
+        edges = list(_product_edges(bq, (v, 0)))
+        # entries: (node, arrow that entered it, its edges, their iterator)
+        stack = [((v, 0), None, edges, iter(edges))]
         while stack:
-            node, _, edges = stack[-1]
-            for label, nxt in edges:
-                c = color.get(nxt)
-                if c == ON_STACK:
+            node, _, edges, pending = stack[-1]
+            for x, nxt in pending:
+                if nxt in done:
+                    continue
+                if nxt in entered:  # on the stack
                     i = next(i for i, entry in enumerate(stack) if entry[0] == nxt)
-                    return [entry[1] for entry in stack[i + 1 :]] + [label], order
-                if c is None:
-                    color[nxt] = ON_STACK
-                    stack.append((nxt, label, iter(successors(nxt))))
-                    break
+                    return tuple(entry[1] for entry in stack[i + 1 :]) + (x,), done
+                entered.add(nxt)
+                nxt_edges = list(_product_edges(bq, nxt))
+                stack.append((nxt, x, nxt_edges, iter(nxt_edges)))
+                break
             else:
-                color[node] = DONE
-                order.append(node)
+                done[node] = edges
                 stack.pop()
-    return None, order
+    return None, done
 
 
-def _product_edges(bq: BoundQuiver, node: tuple[str, int]) -> Iterator[tuple[str, tuple[str, int]]]:
+def _product_edges(bq: BoundQuiver, node: _ProductNode) -> Iterator[_ProductEdge]:
+    """The ``(arrow, next node)`` edges out of a product node, in arrow
+    declaration order.  A single arrow is never a relation, so each arrow
+    out of ``(v, 0)`` has an edge."""
     v, state = node
     for a in bq.out_arrows[v]:
         nxt = bq.automaton.step(state, a.id)
@@ -362,7 +354,7 @@ def enumerate_paths(bq: BoundQuiver, frm: str, to: str) -> list[Path]:
     while stack:
         node, word = stack.pop()
         if node[0] == to:
-            found.append(Path(word) if word else bq.trivial_path(to))
+            found.append(Path(word) if word else Path((), to))
         stack.extend((nxt, word + (x,)) for x, nxt in _product_edges(bq, node))
     idx = bq.arrow_index
     found.sort(key=lambda p: (len(p), tuple(idx[x] for x in p.arrows)))
@@ -374,7 +366,7 @@ def algebra_dim(bq: BoundQuiver) -> int:
     require_finite(bq)
     # paths starting at each product node, summed over its successors,
     # which post-order has already counted
-    count: dict[tuple[str, int], int] = {}
-    for node in bq._product_dfs[1]:
-        count[node] = 1 + sum(count[nxt] for _, nxt in _product_edges(bq, node))
+    count: dict[_ProductNode, int] = {}
+    for node, edges in bq._product_dfs[1].items():
+        count[node] = 1 + sum(count[nxt] for _, nxt in edges)
     return sum(count[(v, 0)] for v in bq.vertices)

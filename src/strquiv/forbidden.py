@@ -78,20 +78,29 @@ def forbidden_cycles(bq: BoundQuiver) -> list[ForbiddenCycle]:
         a.id: [b.id for b in bq.out_arrows[a.target] if (a.id, b.id) in bq.relation_pairs]
         for a in bq.arrows
     }
+    # the vertices joined to each vertex by an arrow
+    near = {v: {a.source for a in bq.in_arrows[v]} | {a.target for a in bq.out_arrows[v]}
+            for v in bq.vertices}
     out: list[ForbiddenCycle] = []
     # Each cycle of relations on distinct vertices is met once, from its
-    # first-declared arrow, which makes it canonically rotated already.
+    # first-declared arrow, which makes it canonically rotated already.  A
+    # path grows only onto a fresh vertex joined to no inner path vertex and,
+    # once its end is joined to its start, may only close: it closes chordless.
     for first in bq.arrows:
-        stack = [(first.id,)]
+        start = first.source
+        stack = [((first.id,), (start, first.target))]
         while stack:
-            path = stack.pop()
-            visited = _cycle_vertices(bq, path)
+            path, vertices = stack.pop()
+            if vertices[-1] == start:
+                if first.id in succs[path[-1]]:
+                    out.append(ForbiddenCycle(path))
+                continue
+            closing_only = len(vertices) > 2 and start in near[vertices[-1]]
             for x in succs[path[-1]]:
-                if x == first.id:
-                    if not _cycle_problems(bq, path):
-                        out.append(ForbiddenCycle(path))
-                elif idx[x] > idx[first.id] and bq.arrow_by_id[x].source not in visited:
-                    stack.append(path + (x,))
+                t = bq.arrow_by_id[x].target
+                if idx[x] > idx[first.id] and (t == start or not closing_only and (
+                        t not in vertices and near[t].isdisjoint(vertices[1:-1]))):
+                    stack.append((path + (x,), vertices + (t,)))
     out.sort(key=lambda c: (len(c), tuple(idx[x] for x in c.arrows)))
     return out
 

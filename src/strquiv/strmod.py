@@ -28,12 +28,11 @@ from .walks import (
 )
 
 
-def _maximal_run_from(bq: BoundQuiver, state: int, vertex: str) -> list[str]:
-    """Arrows of the greedy relation-free forward extension from ``(vertex,
-    state)``.  Under (S2)_R at most one arrow continues a run outside the
-    ideal, so the run is maximal."""
+def _maximal_run_from(bq: BoundQuiver, node: tuple[str, int]) -> list[str]:
+    """Arrows of the greedy relation-free forward extension from the
+    product node ``node``.  Under (S2)_R at most one arrow continues a run
+    outside the ideal, so the run is maximal."""
     arrows: list[str] = []
-    node = (vertex, state)
     while (edge := next(_product_edges(bq, node), None)) is not None:
         x, node = edge
         arrows.append(x)
@@ -50,11 +49,7 @@ def projective_string(bq: BoundQuiver, v: str) -> Walk:
     require_finite(bq)
     if v not in bq.vertex_index:
         raise UnknownArrow(f"unknown vertex {v!r}")
-    branches: list[list[str]] = []
-    for a in bq.out_arrows[v]:
-        state = bq.automaton.step(0, a.id)
-        assert state is not None, "single arrows are never relations"
-        branches.append([a.id] + _maximal_run_from(bq, state, a.target))
+    branches = [[x] + _maximal_run_from(bq, node) for x, node in _product_edges(bq, (v, 0))]
     if not branches:
         return Walk((), v)
     letters = tuple(Letter(x, False) for x in branches[0])
@@ -71,9 +66,8 @@ def arrow_module_string(bq: BoundQuiver, alpha: str) -> Walk:
     if alpha not in bq.arrow_by_id:
         raise UnknownArrow(f"unknown arrow {alpha!r}")
     a = bq.arrow_by_id[alpha]
-    state = bq.automaton.step(0, alpha)
-    assert state is not None
-    arrows = _maximal_run_from(bq, state, a.target)
+    node = next(n for x, n in _product_edges(bq, (a.source, 0)) if x == alpha)
+    arrows = _maximal_run_from(bq, node)
     if not arrows:
         return Walk((), a.target)
     return Walk(tuple(Letter(x, False) for x in arrows))

@@ -208,12 +208,8 @@ def validate_band(bq: BoundQuiver, cw: CyclicWalk) -> bool:
 # Canonical forms
 
 
-def _letter_key(bq: BoundQuiver, letter: Letter) -> tuple[int, int]:
-    return (bq.arrow_index[letter.arrow], int(letter.inv))
-
-
 def _walk_key(bq: BoundQuiver, letters: tuple[Letter, ...]) -> tuple[tuple[int, int], ...]:
-    return tuple(_letter_key(bq, l) for l in letters)
+    return tuple((bq.arrow_index[l.arrow], int(l.inv)) for l in letters)
 
 
 def canonical_string(bq: BoundQuiver, w: Walk) -> Walk:
@@ -253,7 +249,7 @@ def _run_starts(bq: BoundQuiver) -> list[tuple[int, tuple[str, int]]]:
     """Each letter id with the product node its single letter reaches, in
     letter-key order."""
     w = bq._double
-    return [(k, (w.arrow_by_id[k].target, w.automaton.step(0, k))) for k in range(len(w.arrows))]
+    return sorted(edge for v in w.vertices for edge in _product_edges(w, (v, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -367,3 +368,37 @@ def test_verify_labels_the_index_it_checks(call, given, label):
     assert code == 0 and out.startswith(f"R={{{','.join(label)}}}: ")
     code, out, _ = call("verify", FIG5, "--R", given, "--json")
     assert code == 0 and [r["R"] for r in json.loads(out)["reports"]] == [label]
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv", [["forbidden", "--json", FIG5], ["strings", FIG5, "--max-letters", "3"]]
+)
+def test_closed_output_pipe_exits_2(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = run(argv)
+    sys.stdout.close()  # the os.devnull stream the CLI switched to
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "BrokenPipeError [Errno 32] Broken pipe\n"
+
+
+def test_closed_output_pipe_leaves_no_traceback_at_exit():
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout holds its output until a flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "strquiv", "dim", FIG5],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "BrokenPipeError [Errno 32] Broken pipe\n"

@@ -8,11 +8,15 @@ from strquiv import (
     BoundQuiver,
     ForbiddenCycle,
     NotForbiddenCycle,
+    RandomSagSpec,
     forbidden_cycles,
+    gen_random_sag,
     is_perfect,
     left_forbidden_arrows,
     perfect_index,
 )
+from strquiv import forbidden
+from strquiv.forbidden import _cycle_problems
 
 
 class TestLeftForbidden:
@@ -158,3 +162,77 @@ def test_matches_brute_force(seed):
     }
     bq = BoundQuiver.build(vertices, [Arrow(*a) for a in arrows], sorted(pairs))
     assert {c.arrows for c in forbidden_cycles(bq)} == _brute_force_cycles(arrows, pairs)
+
+
+def _filtered_cycles(bq):
+    """Reference: close every relation cycle on distinct vertices, then keep
+    those that pass the outside-input check of a forbidden cycle."""
+    idx = bq.arrow_index
+    succs = {
+        a.id: [b.id for b in bq.out_arrows[a.target] if (a.id, b.id) in bq.relation_pairs]
+        for a in bq.arrows
+    }
+    out = []
+    for first in bq.arrows:
+        stack = [(first.id,)]
+        while stack:
+            path = stack.pop()
+            visited = [bq.arrow_by_id[x].source for x in path]
+            for x in succs[path[-1]]:
+                if x == first.id:
+                    if not _cycle_problems(bq, path):
+                        out.append(ForbiddenCycle(path))
+                elif idx[x] > idx[first.id] and bq.arrow_by_id[x].source not in visited:
+                    stack.append(path + (x,))
+    out.sort(key=lambda c: (len(c), tuple(idx[x] for x in c.arrows)))
+    return out
+
+
+def _dense_random_quiver(seed):
+    """Up to 7 vertices and 12 arrows with random ends, so loops and
+    parallel arrows occur, and each composable pair a relation at a density
+    between 0.3 and 1."""
+    rng = random.Random(seed)
+    vertices = [str(i) for i in range(rng.randint(1, 7))]
+    arrows = [
+        Arrow(f"x{i}", rng.choice(vertices), rng.choice(vertices))
+        for i in range(rng.randint(1, 12))
+    ]
+    density = rng.choice([0.3, 0.5, 0.8, 1.0])
+    pairs = [
+        (a.id, b.id) for a in arrows for b in arrows
+        if a.target == b.source and rng.random() < density
+    ]
+    return BoundQuiver.build(vertices, arrows, pairs)
+
+
+def _pruned_search_quivers():
+    yield from (_dense_random_quiver(seed) for seed in range(300))
+    for density in (0.8, 1.0):
+        for seed in range(10):
+            yield gen_random_sag(
+                RandomSagSpec(seed=seed, num_vertices=20, num_arrows=30, relation_density=density)
+            )
+
+
+def test_pruned_search_matches_the_filtered_reference(fig1, fig5):
+    found = 0
+    for bq in [fig1, fig5, *_pruned_search_quivers()]:
+        cycles = forbidden_cycles(bq)
+        assert cycles == _filtered_cycles(bq)
+        found += len(cycles)
+    assert found > 300
+
+
+def test_dense_quiver_closes_only_forbidden_cycles(monkeypatch):
+    calls = []
+
+    def counted(bq, arrows):
+        calls.append(arrows)
+        return _cycle_problems(bq, arrows)
+
+    monkeypatch.setattr(forbidden, "_cycle_problems", counted)
+    spec = RandomSagSpec(seed=3, num_vertices=100, num_arrows=150, relation_density=0.8)
+    assert forbidden_cycles(gen_random_sag(spec))
+    # filtering closed relation cycles (the reference above) checks 10 here
+    assert calls == []

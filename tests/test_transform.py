@@ -312,8 +312,16 @@ def test_product_graph_is_searched_once_per_quiver(monkeypatch):
     assert is_finite_dimensional(bq)
     assert algebra_dim(bq) == algebra_dim(bq)
     verify_endo_dimension(bq, validate_index(bq, []))
-    # one search of bq's product graph, one of the transformed quiver's
-    assert len(calls) == 2
+    # one search of bq's product graph; split at no arrow, bq is its own
+    # transformed quiver
+    assert len(calls) == 1
+
+
+def test_split_at_no_arrow_is_the_quiver_itself(fig1, fig5):
+    for bq in (fig1, fig5):
+        result = r_transform(bq, validate_index(bq, []))
+        assert result.quiver is bq
+        assert result.vertex_map == {} and result.arrow_map == {}
 
 
 def test_cma_reuses_the_perfect_index(monkeypatch):
