@@ -78,15 +78,15 @@ def forbidden_cycles(bq: BoundQuiver) -> list[ForbiddenCycle]:
         a.id: [b.id for b in bq.out_arrows[a.target] if (a.id, b.id) in bq.relation_pairs]
         for a in bq.arrows
     }
-    # the vertices joined to each vertex by an arrow
+    # the vertices joined by an arrow to each vertex that a path can step onto
     near = {v: {a.source for a in bq.in_arrows[v]} | {a.target for a in bq.out_arrows[v]}
-            for v in bq.vertices}
+            for v in {bq.arrow_by_id[b].target for _, b in bq.relation_pairs}}
     out: list[ForbiddenCycle] = []
     # Each cycle of relations on distinct vertices is met once, from its
     # first-declared arrow, which makes it canonically rotated already.  A
     # path grows only onto a fresh vertex joined to no inner path vertex and,
     # once its end is joined to its start, may only close: it closes chordless.
-    for first in bq.arrows:
+    for first in [a for a in bq.arrows if succs[a.id]]:  # each heads a relation
         start = first.source
         stack = [((first.id,), (start, first.target))]
         while stack:
