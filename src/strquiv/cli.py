@@ -28,7 +28,7 @@ from .dsl import (
     quiver_to_json,
 )
 from .errors import ParseError, QuiverError
-from .forbidden import forbidden_cycles, left_forbidden_arrows, perfect_index
+from .forbidden import left_forbidden_arrows, perfect_index
 from .generate import RandomSagSpec, gen_random_sag
 from .strmod import arrow_module_string, hom_dim, projective_string
 from .transform import cma, r_transform, validate_index, verify_endo_dimension
@@ -87,9 +87,8 @@ def _bands(bq, args):
 
 def _forbidden(bq, args):
     left = _in_order(bq, left_forbidden_arrows(bq))
-    perfect = perfect_index(bq)
-    cycles = [(c.arrows, c in perfect.cycles) for c in forbidden_cycles(bq)]
-    index = _in_order(bq, perfect.arrows)
+    cycles = [(c.arrows, flag) for c, flag in bq._flagged_cycles]
+    index = _in_order(bq, perfect_index(bq).arrows)
     lines = ["left forbidden: " + " ".join(left)]
     lines += [f"cycle: {' '.join(c)}" + (" (perfect)" if flag else "") for c, flag in cycles]
     lines.append("perfect index: " + " ".join(index))

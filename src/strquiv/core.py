@@ -25,7 +25,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .classify import Classification
-    from .forbidden import PerfectIndex
+    from .forbidden import ForbiddenCycle
 
 TOKEN_RE = re.compile(r"^[A-Za-z0-9_']+$")
 
@@ -239,10 +239,10 @@ class BoundQuiver:
         return _classification(self)
 
     @cached_property
-    def _perfect_index(self) -> "PerfectIndex":
-        from .forbidden import _perfect_index  # forbidden imports this module
+    def _flagged_cycles(self) -> "tuple[tuple[ForbiddenCycle, bool], ...]":
+        from .forbidden import _flagged_cycles  # forbidden imports this module
 
-        return _perfect_index(self)
+        return _flagged_cycles(self)
 
 
 def _factor_minimal(rels: list[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:

@@ -31,12 +31,8 @@ class PerfectIndex:
 
 
 def left_forbidden_arrows(bq: BoundQuiver) -> set[str]:
-    """Arrows that head some relation: alpha with alpha·beta in the ideal."""
+    """Arrows that head a length-2 relation: alpha with alpha·beta in the ideal."""
     return set(bq.left_forbidden_arrows)
-
-
-def _cycle_vertices(bq: BoundQuiver, arrows: tuple[str, ...]) -> list[str]:
-    return [bq.arrow_by_id[x].source for x in arrows]
 
 
 def _cycle_problems(bq: BoundQuiver, arrows: tuple[str, ...]) -> list[str]:
@@ -54,7 +50,7 @@ def _cycle_problems(bq: BoundQuiver, arrows: tuple[str, ...]) -> list[str]:
             problems.append(f"arrows {a.id} and {b.id} do not compose")
         elif (a.id, b.id) not in bq.relation_pairs:
             problems.append(f"product {a.id}{b.id} is not in the ideal")
-    vertices = _cycle_vertices(bq, arrows)
+    vertices = [bq.arrow_by_id[x].source for x in arrows]
     if len(set(vertices)) != n:
         problems.append("cycle vertices are not pairwise distinct")
         return problems
@@ -73,11 +69,16 @@ def _cycle_problems(bq: BoundQuiver, arrows: tuple[str, ...]) -> list[str]:
 
 def forbidden_cycles(bq: BoundQuiver) -> list[ForbiddenCycle]:
     """All forbidden cycles, canonically rotated, in deterministic order."""
+    return [c for c, _ in bq._flagged_cycles]
+
+
+def _flagged_cycles(bq: BoundQuiver) -> tuple[tuple[ForbiddenCycle, bool], ...]:
+    """Every forbidden cycle with its perfect flag; run once per quiver, as
+    ``BoundQuiver._flagged_cycles``."""
     idx = bq.arrow_index
-    succs = {
-        a.id: [b.id for b in bq.out_arrows[a.target] if (a.id, b.id) in bq.relation_pairs]
-        for a in bq.arrows
-    }
+    succs: dict[str, list[str]] = {}
+    for a, b in sorted(bq.relation_pairs, key=lambda p: (idx[p[0]], idx[p[1]])):
+        succs.setdefault(a, []).append(b)
     # the vertices joined by an arrow to each vertex that a path can step onto
     near = {v: {a.source for a in bq.in_arrows[v]} | {a.target for a in bq.out_arrows[v]}
             for v in {bq.arrow_by_id[b].target for _, b in bq.relation_pairs}}
@@ -86,23 +87,23 @@ def forbidden_cycles(bq: BoundQuiver) -> list[ForbiddenCycle]:
     # first-declared arrow, which makes it canonically rotated already.  A
     # path grows only onto a fresh vertex joined to no inner path vertex and,
     # once its end is joined to its start, may only close: it closes chordless.
-    for first in [a for a in bq.arrows if succs[a.id]]:  # each heads a relation
-        start = first.source
-        stack = [((first.id,), (start, first.target))]
+    for first in succs:  # each heads a relation, in declaration order
+        start, end = bq.arrow_by_id[first].source, bq.arrow_by_id[first].target
+        stack = [((first,), (start, end))]
         while stack:
             path, vertices = stack.pop()
             if vertices[-1] == start:
-                if first.id in succs[path[-1]]:
+                if first in succs.get(path[-1], ()):
                     out.append(ForbiddenCycle(path))
                 continue
             closing_only = len(vertices) > 2 and start in near[vertices[-1]]
-            for x in succs[path[-1]]:
+            for x in succs.get(path[-1], ()):
                 t = bq.arrow_by_id[x].target
-                if idx[x] > idx[first.id] and (t == start or not closing_only and (
+                if idx[x] > idx[first] and (t == start or not closing_only and (
                         t not in vertices and near[t].isdisjoint(vertices[1:-1]))):
                     stack.append((path + (x,), vertices + (t,)))
     out.sort(key=lambda c: (len(c), tuple(idx[x] for x in c.arrows)))
-    return out
+    return tuple((c, _is_perfect(bq, c.arrows)) for c in out)
 
 
 def is_perfect(bq: BoundQuiver, cycle: ForbiddenCycle) -> bool:
@@ -110,11 +111,14 @@ def is_perfect(bq: BoundQuiver, cycle: ForbiddenCycle) -> bool:
     problems = _cycle_problems(bq, cycle.arrows)
     if problems:
         raise NotForbiddenCycle("; ".join(problems))
-    members = set(cycle.arrows)
-    n = len(cycle.arrows)
-    for i, vertex in enumerate(_cycle_vertices(bq, cycle.arrows)):
-        leaving = cycle.arrows[i]
-        entering = cycle.arrows[(i - 1) % n]
+    return _is_perfect(bq, cycle.arrows)
+
+
+def _is_perfect(bq: BoundQuiver, arrows: tuple[str, ...]) -> bool:
+    """:func:`is_perfect` of arrows already known to form a forbidden cycle."""
+    members = set(arrows)
+    for i, leaving in enumerate(arrows):
+        vertex, entering = bq.arrow_by_id[leaving].source, arrows[i - 1]
         for a in bq.in_arrows[vertex]:
             if a.id not in members and (a.id, leaving) in bq.relation_pairs:
                 return False
@@ -125,11 +129,6 @@ def is_perfect(bq: BoundQuiver, cycle: ForbiddenCycle) -> bool:
 
 
 def perfect_index(bq: BoundQuiver) -> PerfectIndex:
-    """The perfect forbidden cycles and their arrows, computed once per quiver."""
-    return bq._perfect_index
-
-
-def _perfect_index(bq: BoundQuiver) -> PerfectIndex:
-    cycles = tuple(c for c in forbidden_cycles(bq) if is_perfect(bq, c))
-    arrows = frozenset(x for c in cycles for x in c.arrows)
-    return PerfectIndex(arrows, cycles)
+    """The perfect forbidden cycles and their arrows, from the search's flags."""
+    cycles = tuple(c for c, perfect in bq._flagged_cycles if perfect)
+    return PerfectIndex(frozenset(x for c in cycles for x in c.arrows), cycles)

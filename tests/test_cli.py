@@ -257,6 +257,26 @@ def test_strings_output_is_pinned(call, tmp_path):
     assert digest.hexdigest() == STRINGS_OUTPUT_SHA256
 
 
+# sha256 over the exit code and stdout of `forbidden`, text and --json, on
+# two 100/150 SAG quivers, recorded before the search flagged its own cycles
+# as perfect: one with 3 cycles, 2 of them perfect, and a dense one with 44.
+FORBIDDEN_OUTPUT_SHA256 = "39595a73ccff68983a902fa838ef618a3c06ad952c049c55640441c2e401ee57"
+
+
+def test_forbidden_output_is_pinned(call, tmp_path):
+    digest = hashlib.sha256()
+    for seed, density, cycles, perfect in [(4, 0.6, 3, 2), (3, 1.0, 44, 0)]:
+        path = tmp_path / f"sag{seed}.quiver"
+        spec = RandomSagSpec(seed=seed, num_vertices=100, num_arrows=150, relation_density=density)
+        path.write_text(format_quiver(gen_random_sag(spec)))
+        for extra in ([], ["--json"]):
+            code, out, _ = call("forbidden", str(path), *extra)
+            digest.update(repr((seed, density, extra, code, out)).encode())
+        flags = [c["perfect"] for c in json.loads(out)["cycles"]]  # the --json run
+        assert (len(flags), sum(flags)) == (cycles, perfect)
+    assert digest.hexdigest() == FORBIDDEN_OUTPUT_SHA256
+
+
 TWO_CYCLE = "quiver\nvertices: 1 2\narrows:\na: 1 -> 2\nb: 2 -> 1\n"
 
 

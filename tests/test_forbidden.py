@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,14 +10,19 @@ from strquiv import (
     ForbiddenCycle,
     NotForbiddenCycle,
     RandomSagSpec,
+    cma,
     forbidden_cycles,
     gen_random_sag,
     is_perfect,
     left_forbidden_arrows,
+    parse_quiver,
     perfect_index,
 )
 from strquiv import forbidden
+from strquiv.cli import run
 from strquiv.forbidden import _cycle_problems
+
+FIG5 = Path(__file__).resolve().parent.parent / "fixtures" / "fig5.quiver"
 
 
 class TestLeftForbidden:
@@ -220,6 +226,7 @@ def test_pruned_search_matches_the_filtered_reference(fig1, fig5):
     for bq in [fig1, fig5, *_pruned_search_quivers()]:
         cycles = forbidden_cycles(bq)
         assert cycles == _filtered_cycles(bq)
+        assert perfect_index(bq).cycles == tuple(c for c in cycles if is_perfect(bq, c))
         found += len(cycles)
     assert found > 300
 
@@ -233,6 +240,36 @@ def test_dense_quiver_closes_only_forbidden_cycles(monkeypatch):
 
     monkeypatch.setattr(forbidden, "_cycle_problems", counted)
     spec = RandomSagSpec(seed=3, num_vertices=100, num_arrows=150, relation_density=0.8)
-    assert forbidden_cycles(gen_random_sag(spec))
-    # filtering closed relation cycles (the reference above) checks 10 here
+    bq = gen_random_sag(spec)
+    assert forbidden_cycles(bq)
+    perfect_index(bq)
+    # filtering closed relation cycles (the reference above) checks 10 here,
+    # and a perfect_index that re-validates the search's cycles one per cycle
     assert calls == []
+
+
+def _count_cycles_built(monkeypatch):
+    built = []
+
+    def counted(arrows):
+        built.append(arrows)
+        return ForbiddenCycle(arrows)
+
+    monkeypatch.setattr(forbidden, "ForbiddenCycle", counted)
+    return built
+
+
+def test_forbidden_verb_builds_each_cycle_once(monkeypatch, capsys):
+    built = _count_cycles_built(monkeypatch)
+    assert run(["forbidden", "--json", str(FIG5)]) == 0
+    assert '"perfect": true' in capsys.readouterr().out
+    assert len(built) == 2
+
+
+def test_cycles_index_and_cma_build_each_cycle_once(monkeypatch):
+    built = _count_cycles_built(monkeypatch)
+    bq = parse_quiver(FIG5.read_text())
+    assert len(forbidden_cycles(bq)) == 2
+    assert perfect_index(bq).arrows == {"a", "b", "c"}
+    cma(bq)
+    assert len(built) == 2

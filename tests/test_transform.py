@@ -325,7 +325,7 @@ def test_split_at_no_arrow_is_the_quiver_itself(fig1, fig5):
 
 
 def test_cma_reuses_the_perfect_index(monkeypatch):
-    calls = _count_calls(monkeypatch, "strquiv.forbidden", "forbidden_cycles")
+    calls = _count_calls(monkeypatch, "strquiv.forbidden", "_flagged_cycles")
     bq = _fresh_fig5()
     perfect_index(bq)
     assert len(calls) == 1
