@@ -8,11 +8,11 @@ errors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
+from argparse import ArgumentError, ArgumentParser, ArgumentTypeError
 from pathlib import Path as FilePath
 
 from .classify import classify
@@ -139,6 +139,8 @@ def _module_string(bq, args):
 
 
 def _verify(bq, args):
+    if args.R is not None and args.all_indices or args.cap is not None and not args.all_indices:
+        raise ArgumentError(None, "--cap needs --all-indices, which excludes --R")
     if args.all_indices:
         left = _in_order(bq, left_forbidden_arrows(bq))
         count = 1 << len(left) if args.cap is None else min(1 << len(left), args.cap)
@@ -181,7 +183,7 @@ def _within(kind: type, least: float, most: float = math.inf):
         value = kind(text)
         if not least <= value <= most:
             bound = f"at least {least}" if most == math.inf else f"in [{least}, {most}]"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+            raise ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
@@ -230,8 +232,8 @@ _VERBS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="strquiv",
         description="Analyze bound quivers of string / SAG algebras.",
     )
@@ -264,7 +266,7 @@ def run(argv: list[str]) -> int:
         for line in lines:
             print(line)
         sys.stdout.flush()
-    except (ParseError, InvalidWalkText, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, InvalidWalkText, ArgumentError, OSError, UnicodeDecodeError) as exc:
         if isinstance(exc, BrokenPipeError):  # the interpreter flushes stdout again at exit
             sys.stdout = open(os.devnull, "w")
         tag = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__

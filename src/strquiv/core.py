@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     DanglingEndpoint,
@@ -208,9 +208,14 @@ class BoundQuiver:
         return frozenset(first for first, _ in self.relation_pairs)
 
     @cached_property
-    def _product_dfs(self) -> tuple[tuple | None, dict[_ProductNode, list[_ProductEdge]]]:
+    def _product_dfs(self) -> tuple[tuple | None, list[_ProductNode]]:
         """:func:`depth_first` of this quiver, run once."""
         return depth_first(self)
+
+    @cached_property
+    def _product_table(self) -> dict[_ProductNode, list[_ProductEdge]]:
+        """The edges of each product node stepped so far; see :func:`_product_edges`."""
+        return {}
 
     @property
     def relation_free_cycle(self) -> tuple[str, ...] | None:
@@ -282,51 +287,47 @@ def word_in_ideal(bq: BoundQuiver, word: tuple[str, ...]) -> bool:
     return False
 
 
-def depth_first(bq: BoundQuiver) -> tuple[tuple | None, dict[_ProductNode, list[_ProductEdge]]]:
+def depth_first(bq: BoundQuiver) -> tuple[tuple | None, list[_ProductNode]]:
     """Iterative depth-first search of the quiver-automaton product graph
     from every ``(v, 0)`` in vertex order, each vertex's arrows in
-    declaration order.
-
-    Returns the arrows around the first cycle met, or ``None`` when the
-    graph is acyclic, together with the out-edges of each node finished so
-    far, keyed in post-order (every successor of a node comes before it).
-    """
+    declaration order.  Returns the arrows around the first cycle met, or
+    ``None`` when the graph is acyclic, and the nodes finished so far in
+    post-order (every successor of a node comes before it)."""
     entered: set[_ProductNode] = set()
-    done: dict[_ProductNode, list[_ProductEdge]] = {}
-    for v in bq.vertices:
-        if (v, 0) in done:
-            continue
-        entered.add((v, 0))
-        edges = list(_product_edges(bq, (v, 0)))
-        # entries: (node, arrow that entered it, its edges, their iterator)
-        stack = [((v, 0), None, edges, iter(edges))]
-        while stack:
-            node, _, edges, pending = stack[-1]
-            for x, nxt in pending:
-                if nxt in done:
-                    continue
-                if nxt in entered:  # on the stack
-                    i = next(i for i, entry in enumerate(stack) if entry[0] == nxt)
-                    return tuple(entry[1] for entry in stack[i + 1 :]) + (x,), done
-                entered.add(nxt)
-                nxt_edges = list(_product_edges(bq, nxt))
-                stack.append((nxt, x, nxt_edges, iter(nxt_edges)))
-                break
-            else:
-                done[node] = edges
-                stack.pop()
-    return None, done
+    done: dict[_ProductNode | None, None] = {}  # finished nodes, in post-order
+    # entries: (node, arrow that entered it, iterator over its edges); the
+    # first is a virtual root with an edge to each (v, 0)
+    stack = [(None, None, iter([(None, (v, 0)) for v in bq.vertices]))]
+    while stack:
+        node, _, pending = stack[-1]
+        for x, nxt in pending:
+            if nxt in done:
+                continue
+            if nxt in entered:  # on the stack
+                i = next(i for i, entry in enumerate(stack) if entry[0] == nxt)
+                return tuple(entry[1] for entry in stack[i + 1 :]) + (x,), list(done)
+            entered.add(nxt)
+            stack.append((nxt, x, iter(_product_edges(bq, nxt))))
+            break
+        else:
+            done[node] = None
+            stack.pop()
+    return None, list(done)[:-1]  # all but the virtual root
 
 
-def _product_edges(bq: BoundQuiver, node: _ProductNode) -> Iterator[_ProductEdge]:
-    """The ``(arrow, next node)`` edges out of a product node, in arrow
-    declaration order.  A single arrow is never a relation, so each arrow
-    out of ``(v, 0)`` has an edge."""
-    v, state = node
-    for a in bq.out_arrows[v]:
-        nxt = bq.automaton.step(state, a.id)
-        if nxt is not None:
-            yield a.id, (a.target, nxt)
+def _product_edges(bq: BoundQuiver, node: _ProductNode) -> list[_ProductEdge]:
+    """The ``(arrow, next node)`` edges out of a product node in arrow
+    declaration order, stepped once per quiver.  A single arrow is never a
+    relation, so each arrow out of ``(v, 0)`` has an edge."""
+    edges = bq._product_table.get(node)
+    if edges is None:
+        v, state = node
+        edges = bq._product_table[node] = []
+        for a in bq.out_arrows[v]:
+            nxt = bq.automaton.step(state, a.id)
+            if nxt is not None:
+                edges.append((a.id, (a.target, nxt)))
+    return edges
 
 
 def is_finite_dimensional(bq: BoundQuiver) -> bool:
@@ -365,8 +366,8 @@ def algebra_dim(bq: BoundQuiver) -> int:
     """Number of relation-free paths, trivial paths included."""
     require_finite(bq)
     # paths starting at each product node, summed over its successors,
-    # which post-order has already counted
+    # which post-order has already counted; the search stepped every node
     count: dict[_ProductNode, int] = {}
-    for node, edges in bq._product_dfs[1].items():
-        count[node] = 1 + sum(count[nxt] for _, nxt in edges)
+    for node in bq._product_dfs[1]:
+        count[node] = 1 + sum(count[nxt] for _, nxt in bq._product_table[node])
     return sum(count[(v, 0)] for v in bq.vertices)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .core import Arrow, BoundQuiver, is_token
-from .errors import ParseError, UnknownArrow
+from .errors import ParseError, UnknownArrow, UnknownVertex
 from .walks import CyclicWalk, Letter, Walk
 
 
@@ -144,7 +144,7 @@ def parse_walk(bq: BoundQuiver, text: str) -> Walk | CyclicWalk:
     if text.startswith("e(") and text.endswith(")"):
         v = text[2:-1].strip()
         if v not in bq.vertex_index:
-            raise UnknownArrow(f"unknown vertex {v!r}")
+            raise UnknownVertex(f"unknown vertex {v!r}")
         return Walk((), v)
     letters: list[Letter] = []
     for tok in text.replace("·", " ").split():

@@ -54,6 +54,10 @@ class UnknownArrow(QuiverError):
     pass
 
 
+class UnknownVertex(QuiverError):
+    pass
+
+
 class NotSAG(QuiverError):
     pass
 

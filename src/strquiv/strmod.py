@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import BoundQuiver, _product_edges, require_finite
-from .errors import InvalidWalk, UnknownArrow
+from .errors import InvalidWalk, UnknownArrow, UnknownVertex
 from .walks import (
     Letter,
     Walk,
@@ -33,8 +33,8 @@ def _maximal_run_from(bq: BoundQuiver, node: tuple[str, int]) -> list[str]:
     product node ``node``.  Under (S2)_R at most one arrow continues a run
     outside the ideal, so the run is maximal."""
     arrows: list[str] = []
-    while (edge := next(_product_edges(bq, node), None)) is not None:
-        x, node = edge
+    while edges := _product_edges(bq, node):
+        x, node = edges[0]
         arrows.append(x)
     return arrows
 
@@ -48,7 +48,7 @@ def projective_string(bq: BoundQuiver, v: str) -> Walk:
     _require_string_pair(bq)
     require_finite(bq)
     if v not in bq.vertex_index:
-        raise UnknownArrow(f"unknown vertex {v!r}")
+        raise UnknownVertex(f"unknown vertex {v!r}")
     branches = [[x] + _maximal_run_from(bq, node) for x, node in _product_edges(bq, (v, 0))]
     if not branches:
         return Walk((), v)

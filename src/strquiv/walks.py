@@ -261,25 +261,22 @@ def enumerate_strings(bq: BoundQuiver, max_letters: int) -> list[Walk]:
 
     Deterministic order: trivial strings in vertex order, then nontrivial
     canonical forms sorted by (length, letter keys).  One DFS over the
-    double quiver's product graph, expanding each node once, reaches every
-    nontrivial string and its inverse once; each entry carries the letter
-    ids of both, and the class is emitted from its canonical end.
+    double quiver's product graph reaches every nontrivial string and its
+    inverse once; each entry carries the letter ids of both, and the class
+    is emitted from its canonical end.
     """
     _require_string_pair(bq)
     w, letters = bq._double, _letter_table(bq)
-    succ: dict[tuple[str, int], list[tuple[tuple[str, int], Letter, int, int]]] = {}
     found = []
-    stack = [(node, (letters[k],), (k,), (k ^ 1,)) for k, node in _run_starts(bq)]
+    stack = [(node, (k,), (k ^ 1,)) for k, node in _run_starts(bq)]
     while stack and max_letters >= 1:
-        node, word, key, inv_key = stack.pop()
+        node, key, inv_key = stack.pop()
         if key <= inv_key:
-            found.append((len(word), key, word))
-        if len(word) < max_letters:
-            if node not in succ:
-                succ[node] = [(n, letters[k], k, k ^ 1) for k, n in _product_edges(w, node)]
-            stack += [(n, word + (l,), key + (k,), (ik,) + inv_key) for n, l, k, ik in succ[node]]
-    found.sort()
-    return [Walk((), v) for v in bq.vertices] + [Walk(word) for _, _, word in found]
+            found.append((len(key), key))
+        if len(key) < max_letters:
+            stack += [(n, key + (k,), (k ^ 1,) + inv_key) for k, n in _product_edges(w, node)]
+    strings = [Walk(tuple([letters[k] for k in key])) for _, key in sorted(found)]
+    return [Walk((), v) for v in bq.vertices] + strings
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +297,7 @@ def _find_product_cycle(bq: BoundQuiver, cap: int) -> list[Letter] | None:
     for first, init in _run_starts(bq):
         # each reached node with its predecessor and the letter between them
         parent: dict[tuple[str, int], tuple[tuple[str, int], int]] = {}
-        frontier = [init]
-        hit: tuple[str, int] | None = None
-        level = 0
+        frontier, hit, level = [init], None, 0
         while frontier and hit is None and level < cap:
             nxt: list[tuple[str, int]] = []
             for node in frontier:
@@ -315,8 +310,7 @@ def _find_product_cycle(bq: BoundQuiver, cap: int) -> list[Letter] | None:
                         nxt.append(succ)
                 if hit is not None:
                     break
-            frontier = nxt
-            level += 1
+            frontier, level = nxt, level + 1
         if hit is None:
             continue
         cycle = []

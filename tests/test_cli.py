@@ -390,6 +390,47 @@ def test_verify_labels_the_index_it_checks(call, given, label):
     assert code == 0 and [r["R"] for r in json.loads(out)["reports"]] == [label]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--all-indices", "--R", "b"],
+        ["--all-indices", "--R", "a"],
+        ["--all-indices", "--R", ""],
+        ["--R", "a", "--cap", "3"],
+        ["--cap", "3"],
+    ],
+)
+def test_verify_flags_that_do_not_go_together_are_usage_errors(call, argv):
+    code, out, err = call("verify", FIG5, *argv)
+    assert code == 2 and out == ""
+    assert err == "ArgumentError --cap needs --all-indices, which excludes --R\n"
+
+
+def test_verify_without_index_flags_checks_the_empty_index(call):
+    code, out, _ = call("verify", FIG5)
+    assert code == 0 and out == "R={}: endo=27 transformed=27 ok\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["module-string", FIG5, "--projective", "9"],
+        ["homdim", FIG5, "--from", "e(9)", "--to", "a"],
+        ["homdim", FIG5, "--from", "a", "--to", "e(9)"],
+    ],
+)
+def test_unknown_vertex_is_named_as_a_vertex(call, argv):
+    code, out, err = call(*argv)
+    assert code == 1 and out == ""
+    assert err == "UnknownVertex unknown vertex '9'\n"
+
+
+def test_unknown_arrow_is_still_named_as_an_arrow(call):
+    code, out, err = call("module-string", FIG5, "--arrow", "z")
+    assert code == 1 and out == ""
+    assert err == "UnknownArrow unknown arrow 'z'\n"
+
+
 class _ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")

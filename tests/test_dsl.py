@@ -7,6 +7,8 @@ from strquiv import (
     CyclicWalk,
     ParseError,
     RandomSagSpec,
+    UnknownArrow,
+    UnknownVertex,
     Walk,
     format_quiver,
     format_walk,
@@ -97,6 +99,12 @@ class TestWalkText:
 
     def test_interpunct_separator(self, fig5):
         assert parse_walk(fig5, "a·e'") == parse_walk(fig5, "a e'")
+
+    def test_unknown_vertex_and_arrow(self, fig5):
+        with pytest.raises(UnknownVertex, match="unknown vertex '9'"):
+            parse_walk(fig5, "e(9)")
+        with pytest.raises(UnknownArrow, match="unknown arrow 'z'"):
+            parse_walk(fig5, "a z")
 
 
 class TestDot:

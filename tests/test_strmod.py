@@ -9,6 +9,7 @@ from strquiv import (
     BoundQuiver,
     InvalidWalk,
     RandomSagSpec,
+    UnknownVertex,
     Walk,
     algebra_dim,
     arrow_module_string,
@@ -46,6 +47,10 @@ class TestProjectiveString:
     def test_single_arrow(self):
         bq = BoundQuiver.build(["1", "2"], [Arrow("a", "1", "2")])
         assert format_walk(projective_string(bq, "1")) == "a"
+
+    def test_unknown_vertex(self, fig5):
+        with pytest.raises(UnknownVertex, match="unknown vertex '9'"):
+            projective_string(fig5, "9")
 
 
 class TestArrowModuleString:

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from strquiv import (
     UnknownArrow,
     Walk,
     algebra_dim,
+    arrow_module_string,
     band_exists,
     band_problems,
     canonical_band,
@@ -24,13 +27,15 @@ from strquiv import (
     find_band,
     gen_random_sag,
     is_finite_dimensional,
+    parse_quiver,
     parse_walk,
+    projective_string,
     representation_type,
     string_problems,
     validate_band,
     validate_string,
 )
-from strquiv import walks
+from strquiv import core
 from strquiv.core import FactorAutomaton
 from strquiv.walks import (
     _band_cycle,
@@ -39,6 +44,8 @@ from strquiv.walks import (
     _walk_key,
     letter_target,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 B_TEXT = "a' d'^-1 a e^-1 b' e'^-1 b f^-1 c' f'^-1 c d^-1"
 
@@ -395,19 +402,82 @@ class TestEnumerateMatchesReference:
             assert enumerate_strings(bq, k) == _per_walk_reference(bq, k)
 
 
-def test_each_node_is_expanded_once(monkeypatch):
-    calls = []
-    expand = walks._product_edges
+def _record_steps(monkeypatch):
+    """Record each automaton step as (automaton id, state, arrow, caller):
+    the innermost of ``_product_edges`` and ``word_in_ideal`` running, or
+    None.  Both are wrapped at every module that binds them."""
+    steps, callers = [], [None]
 
-    def counted(bq, node):
-        calls.append(node)
-        return expand(bq, node)
+    def wrapped(fn):
+        def inner(*args):
+            callers.append(fn.__name__)
+            try:
+                return fn(*args)
+            finally:
+                callers.pop()
 
-    monkeypatch.setattr(walks, "_product_edges", counted)
+        return inner
+
+    for fn in (core._product_edges, core.word_in_ideal):
+        wrapper = wrapped(fn)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("strquiv.") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrapper)
+    step = FactorAutomaton.step
+
+    def counted(automaton, state, sym):
+        steps.append((id(automaton), state, sym, callers[-1]))
+        return step(automaton, state, sym)
+
+    monkeypatch.setattr(FactorAutomaton, "step", counted)
+    return steps
+
+
+def _walker_calls(bq):
+    """Every public walker of the product graphs of ``bq`` and its double
+    quiver, by name."""
+    return {
+        "is_finite_dimensional": lambda: is_finite_dimensional(bq),
+        "algebra_dim": lambda: algebra_dim(bq),
+        "representation_type": lambda: representation_type(bq),
+        "enumerate_strings": lambda: enumerate_strings(bq, 10),
+        "find_band": lambda: find_band(bq),
+        "projective_string": lambda: [projective_string(bq, v) for v in bq.vertices],
+        "arrow_module_string": lambda: [arrow_module_string(bq, a.id) for a in bq.arrows],
+    }
+
+
+def _fresh_quivers():
+    """fig5, A_50 and a generated 100/150 quiver, with no search cached."""
+    fig5 = parse_quiver((FIXTURES / "fig5.quiver").read_text())
+    vertices = [str(i) for i in range(50)]
+    a50 = BoundQuiver.build(vertices, [Arrow(f"a{i}", str(i), str(i + 1)) for i in range(49)])
     spec = RandomSagSpec(seed=3, num_vertices=100, num_arrows=150, relation_density=0.4)
-    enumerate_strings(gen_random_sag(spec), 10)
-    expansions, nodes = len(calls), len(set(calls))
-    assert 0 < expansions <= nodes
+    generated = gen_random_sag(spec)  # the generator searched its own output
+    return [fig5, a50, BoundQuiver(generated.vertices, generated.arrows, generated.relations)]
+
+
+def test_each_product_node_is_stepped_once_per_quiver(monkeypatch):
+    steps = _record_steps(monkeypatch)
+    outputs = {}
+    for order in (1, -1):
+        outputs[order] = []
+        for bq in _fresh_quivers():
+            steps.clear()
+            results = {}
+            for name, call in list(_walker_calls(bq).items())[::order]:
+                before = len(steps)
+                results[name] = call()
+                if name == "algebra_dim" and order == 1:
+                    # it counts over the nodes the finiteness search stepped
+                    assert len(steps) == before
+            # only _product_edges steps from a product node; word_in_ideal
+            # steps the words that find_band validates
+            assert all(caller is not None for *_, caller in steps)
+            stepped = [s[:3] for s in steps if s[3] == "_product_edges"]
+            assert stepped and len(set(stepped)) == len(stepped)
+            outputs[order].append(results)
+    assert outputs[1] == outputs[-1]
 
 
 def _uncapped_product_cycle(bq):
