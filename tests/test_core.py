@@ -1,4 +1,5 @@
 import random
+from pathlib import Path as FilePath
 
 import pytest
 
@@ -10,11 +11,15 @@ from strquiv import (
     InfiniteDimensional,
     NonComposableRelation,
     Path,
+    RandomSagSpec,
     RelationTooShort,
     algebra_dim,
+    core,
     enumerate_paths,
+    gen_random_sag,
     in_ideal,
     is_finite_dimensional,
+    parse_quiver,
 )
 
 
@@ -177,3 +182,31 @@ def test_relation_pairs_decide_two_arrow_membership(seed):
             if member:
                 heads.add(a.id)
     assert bq.left_forbidden_arrows == heads
+
+
+def test_dimension_counts_over_the_edges_the_search_stepped(monkeypatch):
+    generated = gen_random_sag(RandomSagSpec(seed=0, num_vertices=20, num_arrows=30))
+    fresh = [
+        parse_quiver((FilePath(__file__).parent.parent / "fixtures" / "fig5.quiver").read_text()),
+        chain(50),
+        # the generator searched its own output; a copy has no cached search
+        BoundQuiver(generated.vertices, generated.arrows, generated.relations),
+    ]
+    stepped = []
+    step = core._product_edges
+
+    def counted(bq, node):
+        stepped.append(node)
+        return step(bq, node)
+
+    monkeypatch.setattr(core, "_product_edges", counted)
+    for bq in fresh:
+        stepped.clear()
+        assert is_finite_dimensional(bq)
+        searched = len(stepped)
+        dim = algebra_dim(bq)
+        # the count reads the edges the search stored and steps nothing
+        assert len(stepped) == searched
+        assert sorted(stepped) == sorted(bq._product_dfs[1])
+        assert sorted(bq._product_table) == sorted(stepped)
+        assert dim == sum(len(enumerate_paths(bq, s, t)) for s in bq.vertices for t in bq.vertices)

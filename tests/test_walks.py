@@ -35,7 +35,7 @@ from strquiv import (
     validate_band,
     validate_string,
 )
-from strquiv import core
+from strquiv import core, walks
 from strquiv.core import FactorAutomaton
 from strquiv.walks import (
     _band_cycle,
@@ -478,6 +478,31 @@ def test_each_product_node_is_stepped_once_per_quiver(monkeypatch):
             assert stepped and len(set(stepped)) == len(stepped)
             outputs[order].append(results)
     assert outputs[1] == outputs[-1]
+
+
+def test_each_node_is_expanded_once(monkeypatch):
+    calls = []
+    expand = walks._product_edges
+
+    def counted(bq, node):
+        calls.append((node, node in bq._product_table))
+        return expand(bq, node)
+
+    steps = []
+    step = FactorAutomaton.step
+
+    def stepped(automaton, state, sym):
+        steps.append((id(automaton), state, sym))
+        return step(automaton, state, sym)
+
+    monkeypatch.setattr(walks, "_product_edges", counted)
+    monkeypatch.setattr(FactorAutomaton, "step", stepped)
+    spec = RandomSagSpec(seed=3, num_vertices=100, num_arrows=150, relation_density=0.4)
+    enumerate_strings(gen_random_sag(spec), 10)
+    # a node's edges are stepped the first time it is met and read after
+    expansions = [node for node, seen in calls if not seen]
+    assert 0 < len(expansions) == len(set(expansions))
+    assert steps and len(set(steps)) == len(steps)
 
 
 def _uncapped_product_cycle(bq):
