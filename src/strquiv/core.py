@@ -340,7 +340,7 @@ def require_finite(bq: BoundQuiver) -> None:
     """Raise InfiniteDimensional, naming a relation-free oriented cycle,
     unless the algebra is finite-dimensional."""
     if not is_finite_dimensional(bq):
-        cycle = " ".join(bq.relation_free_cycle)
+        cycle = " ".join(map(str, bq.relation_free_cycle))
         raise InfiniteDimensional("relation-free oriented cycle exists: " + cycle)
 
 

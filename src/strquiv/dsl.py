@@ -142,6 +142,8 @@ def parse_walk(bq: BoundQuiver, text: str) -> Walk | CyclicWalk:
         cyclic = True
         text = text[len("cycle(") : -1].strip()
     if text.startswith("e(") and text.endswith(")"):
+        if cyclic:
+            raise InvalidWalkText("a cyclic walk needs at least one letter")
         v = text[2:-1].strip()
         if v not in bq.vertex_index:
             raise UnknownVertex(f"unknown vertex {v!r}")

@@ -20,8 +20,6 @@ from .walks import (
     Letter,
     Walk,
     _require_string_pair,
-    _run_path,
-    _runs,
     letter_source,
     letter_target,
     string_problems,
@@ -87,26 +85,15 @@ class SubstringOccurrence:
         return self.start == self.end + 1
 
 
-def _boundary_ok(w: Walk, start: int, end: int, kind: str) -> bool:
-    before = w.letters[start - 1] if start >= 1 else None
-    after = w.letters[end + 1] if end + 1 < len(w.letters) else None
-    if kind == "factor":
-        return (before is None or before.inv) and (after is None or not after.inv)
-    return (before is None or not before.inv) and (after is None or after.inv)
-
-
 def _substrings(w: Walk, kind: str) -> list[SubstringOccurrence]:
-    occs: list[SubstringOccurrence] = []
-    n = len(w.letters)
-    for p in range(n + 1):
-        if _boundary_ok(w, p, p - 1, kind):
-            occs.append(SubstringOccurrence(p, p - 1, kind))
-    for start in range(n):
-        for end in range(start, n):
-            if _boundary_ok(w, start, end, kind):
-                occs.append(SubstringOccurrence(start, end, kind))
-    occs.sort(key=lambda o: (o.start, o.end))
-    return occs
+    """Each valid start paired with each valid end at or after it.  A factor
+    starts at 0 or after an inverse letter and ends at the end of the walk
+    or before a forward letter; an image the other way round."""
+    inv = kind == "factor"
+    letters, n = w.letters, len(w.letters)
+    starts = [s for s in range(n + 1) if s == 0 or letters[s - 1].inv == inv]
+    ends = [e for e in range(-1, n) if e == n - 1 or letters[e + 1].inv != inv]
+    return [SubstringOccurrence(s, e, kind) for s in starts for e in ends if e >= s - 1]
 
 
 def factor_substrings(w: Walk) -> list[SubstringOccurrence]:
@@ -165,25 +152,21 @@ def hom_dim(bq: BoundQuiver, s2: Walk, s1: Walk) -> int:
     return _pair_count(_factor_table(bq, s2), _image_table(bq, s1))
 
 
-def _arrow_module_homs(bq: BoundQuiver, modules: list[Walk], summands: list[Walk]) -> int:
-    """Σ hom(αA, M(Y)) over the arrow-module strings αA in ``modules`` and
-    the strings Y in ``summands``.  αA runs forward only, so its factor
-    substrings are its start vertex, matched by the peaks of Y there, and
-    its prefixes, matched by suffixes of Y's runs read as paths: proper
-    suffixes, or the whole run if it starts Y (forward) or ends Y (inverse)."""
-    starts = Counter(m.source(bq) for m in modules)
-    prefixes: dict[str, list[tuple[str, ...]]] = {}
-    for arrows in (tuple(l.arrow for l in m.letters) for m in modules if m.letters):
-        prefixes.setdefault(arrows[0], []).append(arrows)
+def _arrow_module_homs(bq: BoundQuiver, arrows: tuple[str, ...], summands: list[Walk]) -> int:
+    """Σ hom(αA, M(Y)) over the ``arrows`` α and the strings Y in
+    ``summands``.  In a SAG algebra αA ≅ e_t A / Σ βA, t = t(α), over the
+    relations αβ, so by the Yoneda lemma hom(αA, M(Y)) counts the vertices
+    of Y at t on which no such β acts; β acts at vertex i if letter i is β
+    or letter i - 1 is β⁻¹."""
+    kernels: dict[str, list[set[str]]] = {}
+    for alpha in arrows:
+        t = bq.arrow_by_id[alpha].target
+        kernel = {b.id for b in bq.out_arrows[t] if (alpha, b.id) in bq.relation_pairs}
+        kernels.setdefault(t, []).append(kernel)
     total = 0
     for y in summands:
         letters, n = y.letters, len(y.letters)
-        total += sum(starts[_vertex_at(bq, y, p)] for p in range(n + 1)
-                     if _boundary_ok(y, p, p - 1, "image"))
-        for start, stop, inv in _runs(letters):
-            path = _run_path(letters, start, stop, inv)
-            whole = stop == n if inv else start == 0
-            for q in range(0 if whole else 1, len(path)):
-                for arrows in prefixes.get(path[q], ()):
-                    total += path[q:] == arrows[: len(path) - q]
+        for i in range(n + 1):
+            acting = {letters[j].arrow for j in (i - 1, i) if 0 <= j < n and letters[j].inv == (j < i)}
+            total += sum(acting.isdisjoint(k) for k in kernels.get(_vertex_at(bq, y, i), ()))
     return total

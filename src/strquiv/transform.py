@@ -155,6 +155,6 @@ def verify_endo_dimension(bq: BoundQuiver, index: RIndex) -> TransformedAlgebraR
     dim_source_endo = algebra_dim(bq) + sum(len(m) + 1 for m in modules)
     if modules:
         summands = [projective_string(bq, v) for v in bq.vertices] + modules
-        dim_source_endo += _arrow_module_homs(bq, modules, summands)
+        dim_source_endo += _arrow_module_homs(bq, index.arrows, summands)
     result = r_transform(bq, index)
     return TransformedAlgebraReport(result, dim_source_endo, algebra_dim(result.quiver))

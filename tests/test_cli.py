@@ -314,8 +314,17 @@ def test_infinite_dimensional_names_the_cycle(call, tmp_path, argv):
             ["homdim", "--from", "cycle()", "--to", "a"],
             "InvalidWalkText",
         ),
+        (
+            '{"vertices": ["1", "2"], "arrows": [{"id": "a", "source": "1", "target": "2"}],'
+            ' "relations": []}',
+            ["homdim", "--from", "cycle(e(1))", "--to", "a"],
+            "InvalidWalkText",
+        ),
     ],
-    ids=["truncated", "no-arrows", "list", "int-id", "dict-id", "not-utf8", "directory", "empty-cycle"],
+    ids=[
+        "truncated", "no-arrows", "list", "int-id", "dict-id", "not-utf8", "directory",
+        "empty-cycle", "trivial-cycle",
+    ],
 )
 def test_bad_input_exit_2(call, tmp_path, content, argv, tag):
     path = tmp_path / "input.json"

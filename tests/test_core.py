@@ -131,6 +131,15 @@ def test_infinite_dimensional_names_the_cycle():
         algebra_dim(bq)
 
 
+def test_infinite_dimensional_names_a_cycle_of_int_letters(fig5):
+    # fig5 has a band, so its double quiver, whose letters are ints, has a
+    # relation-free cycle
+    double = fig5._double
+    cycle = " ".join(map(str, double.relation_free_cycle))
+    with pytest.raises(InfiniteDimensional, match=f"cycle exists: {cycle}$"):
+        algebra_dim(double)
+
+
 def _random_bound_quiver(seed):
     """Five vertices, eight arrows and composable relation words of length
     2 to 4, with repeats and words nested inside one another."""

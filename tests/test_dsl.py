@@ -19,6 +19,7 @@ from strquiv import (
     quiver_to_dot,
     quiver_to_json,
 )
+from strquiv.dsl import InvalidWalkText
 
 
 class TestParse:
@@ -96,6 +97,10 @@ class TestWalkText:
         cw = parse_walk(fig5, "cycle( a e^-1 )")
         assert isinstance(cw, CyclicWalk) and len(cw) == 2
         assert format_walk(cw) == "cycle( a e^-1 )"
+
+    def test_cycle_of_a_trivial_walk_is_rejected(self, fig5):
+        with pytest.raises(InvalidWalkText, match="at least one letter"):
+            parse_walk(fig5, "cycle(e(1))")
 
     def test_interpunct_separator(self, fig5):
         assert parse_walk(fig5, "a·e'") == parse_walk(fig5, "a e'")

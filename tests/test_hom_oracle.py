@@ -19,6 +19,7 @@ from strquiv import (
     validate_index,
     verify_endo_dimension,
 )
+from strquiv.strmod import _arrow_module_homs, arrow_module_string, projective_string
 
 
 def _arrows(bq):
@@ -93,6 +94,21 @@ def test_endo_split_matches_oracle_on_fig5(fig5):
 def test_endo_split_matches_oracle_on_generated(seed):
     bq = _generated(seed)
     _assert_verify_matches_oracle(bq, _indices(bq))
+
+
+@pytest.mark.parametrize("name", ["fig5", 1, 2, 3, 4, 5])
+def test_each_arrow_module_hom_matches_oracle(name, request):
+    """Each (α, Y) term of the split: hom(αA, Y) for each left-forbidden α
+    and each summand string Y."""
+    bq = request.getfixturevalue(name) if isinstance(name, str) else _generated(name)
+    arrows = _arrows(bq)
+    summands = [projective_string(bq, v) for v in bq.vertices]
+    summands += [arrow_module_string(bq, a.id) for a in bq.arrows]
+    for alpha in sorted(left_forbidden_arrows(bq), key=lambda x: bq.arrow_index[x]):
+        module = O.path_module(arrows, bq.relations, bq.arrow_by_id[alpha].target, (alpha,))
+        for y in summands:
+            expected = O.hom_dim(arrows, module, _string_module(bq, y))
+            assert _arrow_module_homs(bq, (alpha,), [y]) == expected, (alpha, format_walk(y))
 
 
 def test_readme_witnesses_from_the_oracle(fig5):

@@ -403,7 +403,7 @@ class TestEnumerateMatchesReference:
 
 
 def _record_steps(monkeypatch):
-    """Record each automaton step as (automaton id, state, arrow, caller):
+    """Record each automaton step as (automaton, state, arrow, caller):
     the innermost of ``_product_edges`` and ``word_in_ideal`` running, or
     None.  Both are wrapped at every module that binds them."""
     steps, callers = [], [None]
@@ -426,7 +426,7 @@ def _record_steps(monkeypatch):
     step = FactorAutomaton.step
 
     def counted(automaton, state, sym):
-        steps.append((id(automaton), state, sym, callers[-1]))
+        steps.append((automaton, state, sym, callers[-1]))
         return step(automaton, state, sym)
 
     monkeypatch.setattr(FactorAutomaton, "step", counted)
@@ -492,7 +492,7 @@ def test_each_node_is_expanded_once(monkeypatch):
     step = FactorAutomaton.step
 
     def stepped(automaton, state, sym):
-        steps.append((id(automaton), state, sym))
+        steps.append((automaton, state, sym))
         return step(automaton, state, sym)
 
     monkeypatch.setattr(walks, "_product_edges", counted)
