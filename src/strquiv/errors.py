@@ -40,14 +40,25 @@ class InfiniteDimensional(QuiverError):
     pass
 
 
-class NotStringPair(QuiverError):
-    """The quiver fails (S1) or (S2); ``violations`` holds the witnesses as
-    ``(kind, vertex or arrow)`` pairs, as in ``Classification.violations``."""
+class _AxiomError(QuiverError):
+    """Failed axioms; ``violations`` holds the witnesses as ``(kind, vertex,
+    arrow or relation)`` pairs, as in ``Classification.violations``.  A
+    relation is written as its space-separated arrow ids."""
+
+    summary = ""
 
     def __init__(self, violations: tuple[tuple[str, object], ...]):
-        listed = "; ".join(f"{kind} {witness}" for kind, witness in violations)
-        super().__init__(f"bound quiver fails the string-pair axioms: {listed}")
+        listed = "; ".join(
+            f"{kind} {w if isinstance(w, str) else ' '.join(w)}" for kind, w in violations
+        )
+        super().__init__(f"{self.summary}: {listed}")
         self.violations = violations
+
+
+class NotStringPair(_AxiomError):
+    """The quiver fails (S1) or (S2)."""
+
+    summary = "bound quiver fails the string-pair axioms"
 
 
 class UnknownArrow(QuiverError):
@@ -58,8 +69,10 @@ class UnknownVertex(QuiverError):
     pass
 
 
-class NotSAG(QuiverError):
-    pass
+class NotSAG(_AxiomError):
+    """The quiver is not a string pair, or has a relation of length other than 2."""
+
+    summary = "bound quiver is not string-almost-gentle"
 
 
 class NotForbiddenCycle(QuiverError):

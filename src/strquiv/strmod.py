@@ -20,7 +20,6 @@ from .walks import (
     Letter,
     Walk,
     _require_string_pair,
-    letter_source,
     letter_target,
     string_problems,
 )
@@ -105,12 +104,7 @@ def image_substrings(w: Walk) -> list[SubstringOccurrence]:
 
 
 def _vertex_at(bq: BoundQuiver, w: Walk, pos: int) -> str:
-    if w.is_trivial:
-        assert w.anchor is not None
-        return w.anchor
-    if pos == 0:
-        return letter_source(bq, w.letters[0])
-    return letter_target(bq, w.letters[pos - 1])
+    return w.source(bq) if pos == 0 else letter_target(bq, w.letters[pos - 1])
 
 
 def _occ_key(bq: BoundQuiver, w: Walk, occ: SubstringOccurrence) -> str | tuple[Letter, ...]:

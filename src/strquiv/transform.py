@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Arrow, BoundQuiver, algebra_dim, require_finite
-from .errors import DuplicateId, InvalidWalk, NotLeftForbidden, NotSAG
+from .errors import DuplicateId, InvalidWalk, NotLeftForbidden, NotSAG, UnknownArrow
 from .forbidden import perfect_index
 from .strmod import _arrow_module_homs, arrow_module_string, projective_string
 from .walks import CyclicWalk, Letter, Walk
@@ -44,6 +44,8 @@ class TransformedAlgebraReport:
 def validate_index(bq: BoundQuiver, arrows) -> RIndex:
     arrows = tuple(arrows)
     for x in arrows:
+        if x not in bq.arrow_by_id:
+            raise UnknownArrow(f"unknown arrow {x!r}")
         if x not in bq.left_forbidden_arrows:
             raise NotLeftForbidden(x)
     return RIndex(tuple(sorted(set(arrows), key=lambda x: bq.arrow_index[x])))
@@ -134,7 +136,7 @@ def lift_walk(tr: TransformResult, w: Walk | CyclicWalk) -> Walk | CyclicWalk:
 
 def _require_sag_finite(bq: BoundQuiver) -> None:
     if not bq.classification.is_sag:
-        raise NotSAG("bound quiver is not string-almost-gentle")
+        raise NotSAG(bq.classification.violations)
     require_finite(bq)
 
 

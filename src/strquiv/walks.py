@@ -16,6 +16,7 @@ cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple
 
 from .core import BoundQuiver, _product_edges, require_finite, word_in_ideal
@@ -93,31 +94,6 @@ class CyclicWalk:
         return len(self.letters)
 
 
-def _runs(letters: tuple[Letter, ...]) -> list[tuple[int, int, bool]]:
-    """Maximal same-direction runs as (start, stop, inv) with stop exclusive."""
-    runs: list[tuple[int, int, bool]] = []
-    i = 0
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j].inv == letters[i].inv:
-            j += 1
-        runs.append((i, j, letters[i].inv))
-        i = j
-    return runs
-
-
-def _run_path(letters: tuple[Letter, ...], start: int, stop: int, inv: bool) -> tuple[str, ...]:
-    """The arrows of a run, read as a path."""
-    arrows = tuple(l.arrow for l in letters[start:stop])
-    return tuple(reversed(arrows)) if inv else arrows
-
-
-def _check_arrows_known(bq: BoundQuiver, letters: tuple[Letter, ...]) -> None:
-    for l in letters:
-        if l.arrow not in bq.arrow_by_id:
-            raise UnknownArrow(f"unknown arrow {l.arrow!r}")
-
-
 def _require_string_pair(bq: BoundQuiver) -> None:
     c = bq.classification
     if not c.is_string:
@@ -127,7 +103,9 @@ def _require_string_pair(bq: BoundQuiver) -> None:
 
 def string_problems(bq: BoundQuiver, w: Walk) -> list[str]:
     """Diagnostics for why ``w`` fails to be a string; empty means valid."""
-    _check_arrows_known(bq, w.letters)
+    for l in w.letters:
+        if l.arrow not in bq.arrow_by_id:
+            raise UnknownArrow(f"unknown arrow {l.arrow!r}")
     problems: list[str] = []
     if w.is_trivial:
         if w.anchor not in bq.vertex_index:
@@ -142,14 +120,18 @@ def string_problems(bq: BoundQuiver, w: Walk) -> list[str]:
             )
         if letters[i + 1] == letters[i].inverse():
             problems.append(f"backtrack at position {i}: letter followed by its inverse")
-    for start, stop, inv in _runs(letters):
-        word = _run_path(letters, start, stop, inv)
+    start = 0
+    for inv, run in groupby(letters, key=lambda l: l.inv):
+        arrows = [l.arrow for l in run]
+        stop = start + len(arrows)
+        word = tuple(reversed(arrows) if inv else arrows)  # the run read as a path
         if word_in_ideal(bq, word):
             direction = "inverse" if inv else "forward"
             problems.append(
                 f"{direction} run at positions {start}..{stop - 1} lies in the ideal: "
                 + "".join(word)
             )
+        start = stop
     return problems
 
 
@@ -159,43 +141,15 @@ def validate_string(bq: BoundQuiver, w: Walk) -> bool:
 
 
 def band_problems(bq: BoundQuiver, cw: CyclicWalk) -> list[str]:
-    """Diagnostics for why ``cw`` fails to be a band; empty means valid."""
-    _check_arrows_known(bq, cw.letters)
-    problems: list[str] = []
-    letters = cw.letters
-    n = len(letters)
-    for i in range(n):
-        j = (i + 1) % n
-        if letter_target(bq, letters[i]) != letter_source(bq, letters[j]):
-            problems.append(f"letters {i} and {j} do not connect cyclically")
-        if letters[j] == letters[i].inverse():
-            problems.append(f"backtrack at cyclic position {i}")
-    if problems:
-        return problems
-    if _primitive_root(letters) != letters:
-        problems.append("cyclic walk is a proper power of a shorter walk")
+    """Diagnostics for why ``cw`` fails to be a band; empty means valid.
 
-    directions = {l.inv for l in letters}
-    if len(directions) == 1:
-        # A one-direction cyclic walk is a directed cycle; its powers are
-        # strings only if arbitrary repetitions of the cycle avoid the ideal.
-        inv = letters[0].inv
-        arrows = tuple(l.arrow for l in letters)
-        if inv:
-            arrows = tuple(reversed(arrows))
-        reps = bq.max_relation_length // n + 2
-        if word_in_ideal(bq, arrows * reps):
-            problems.append("directed cycle has a power in the ideal")
-    else:
-        # Rotate so position 0 starts a new run; then runs of any power of
-        # the rotated word are exactly the cyclic runs of cw.
-        t = next(i for i in range(n) if letters[i].inv != letters[i - 1].inv)
-        rotated = cw.rotate(t).letters
-        for start, stop, inv in _runs(rotated):
-            word = _run_path(rotated, start, stop, inv)
-            if word_in_ideal(bq, word):
-                direction = "inverse" if inv else "forward"
-                problems.append(f"cyclic {direction} run lies in the ideal: " + "".join(word))
+    A relation has at most ``max_relation_length`` letters, so the power
+    below holds every factor of every power of ``cw`` that a relation could
+    be, and every wrap-around pair: it is a string iff all powers are."""
+    reps = bq.max_relation_length // len(cw) + 2
+    problems = string_problems(bq, Walk(cw.letters * reps))
+    if _primitive_root(cw.letters) != cw.letters:
+        problems.append("cyclic walk is a proper power of a shorter walk")
     return problems
 
 
@@ -224,12 +178,10 @@ def canonical_string(bq: BoundQuiver, w: Walk) -> Walk:
 
 def canonical_band(bq: BoundQuiver, cw: CyclicWalk) -> CyclicWalk:
     """Minimum over all rotations of both orientations."""
-    candidates = []
-    for orient in (cw, cw.inverse()):
-        for t in range(len(orient)):
-            rot = orient.rotate(t)
-            candidates.append((_walk_key(bq, rot.letters), rot))
-    return min(candidates, key=lambda kv: kv[0])[1]
+    return min(
+        (orient.rotate(t) for orient in (cw, cw.inverse()) for t in range(len(cw))),
+        key=lambda rot: _walk_key(bq, rot.letters),
+    )
 
 
 # ---------------------------------------------------------------------------

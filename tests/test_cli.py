@@ -132,6 +132,16 @@ def test_domain_error_exit_1(call):
     assert code == 1 and err.startswith("NotSAG")
 
 
+@pytest.mark.parametrize("argv", [["cma", FIG1], ["verify", FIG1, "--R", "a"]])
+def test_not_sag_names_its_witnesses(call, argv):
+    code, out, err = call(*argv)
+    assert code == 1 and out == ""
+    assert err == (
+        "NotSAG bound quiver is not string-almost-gentle: relation-length a' e b; "
+        "relation-length b' f c; relation-length c' d a\n"
+    )
+
+
 def test_gen_with_more_than_two_arrows_per_vertex_exits_1(call):
     code, out, err = call("gen", "--seed", "1", "--vertices", "5", "--arrows", "11")
     assert code == 1 and out == ""
@@ -436,6 +446,13 @@ def test_unknown_vertex_is_named_as_a_vertex(call, argv):
 
 def test_unknown_arrow_is_still_named_as_an_arrow(call):
     code, out, err = call("module-string", FIG5, "--arrow", "z")
+    assert code == 1 and out == ""
+    assert err == "UnknownArrow unknown arrow 'z'\n"
+
+
+@pytest.mark.parametrize("argv", [["transform", FIG5, "--R", "z"], ["verify", FIG5, "--R", "a,z"]])
+def test_unknown_index_arrow_is_named_as_an_arrow(call, argv):
+    code, out, err = call(*argv)
     assert code == 1 and out == ""
     assert err == "UnknownArrow unknown arrow 'z'\n"
 

@@ -14,6 +14,7 @@ from strquiv import (
     NotSAG,
     RIndex,
     RandomSagSpec,
+    UnknownArrow,
     Walk,
     algebra_dim,
     classify,
@@ -56,6 +57,10 @@ class TestValidateIndex:
         bq = BoundQuiver.build(["1", "2"], [Arrow("a", "1", "2")])
         with pytest.raises(NotLeftForbidden):
             validate_index(bq, ["a"])
+
+    def test_unknown_arrow_is_not_called_left_forbidden(self, fig5):
+        with pytest.raises(UnknownArrow, match="unknown arrow 'zz'"):
+            validate_index(fig5, ["a", "zz"])
 
 
 class TestRTransform:
@@ -203,8 +208,13 @@ class TestCma:
         assert cma(bq).quiver == bq
 
     def test_non_sag_rejected(self, fig1):
-        with pytest.raises(NotSAG):
+        with pytest.raises(NotSAG) as info:
             cma(fig1)
+        assert info.value.violations == fig1.classification.violations
+        assert [kind for kind, _ in info.value.violations] == ["relation-length"] * 3
+        assert str(info.value).endswith(
+            ": relation-length a' e b; relation-length b' f c; relation-length c' d a"
+        )
 
 
 class TestVerifyEndoDimension:

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import random
 import sys
@@ -129,6 +130,53 @@ class TestValidateBand:
                 assert validate_string(fig5, w)
 
 
+def _load_perfbench_oracle():
+    """``perfbench/oracle.py``, loaded by path: it shares no code with strquiv."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _random_closed_walks(bq, rng, attempts):
+    """Reduced walks that return to their start, some of them squared; the
+    wrap-around pair may still backtrack."""
+    steps = {v: [] for v in bq.vertices}
+    for a in bq.arrows:
+        steps[a.source].append(Letter(a.id, False))
+        steps[a.target].append(Letter(a.id, True))
+    walks = []
+    for _ in range(attempts):
+        start = v = rng.choice(bq.vertices)
+        letters = []
+        while len(letters) < 16:
+            choices = [l for l in steps[v] if not letters or l != letters[-1].inverse()]
+            if not choices:
+                break
+            letters.append(rng.choice(choices))
+            v = letter_target(bq, letters[-1])
+            if v == start and rng.random() < 0.5:
+                walks.append(CyclicWalk(tuple(letters) * rng.choice((1, 1, 2))))
+                break
+    return walks
+
+
+def test_band_problems_agrees_with_an_independent_oracle(fig1, fig5):
+    oracle = _load_perfbench_oracle()
+    rng = random.Random(2024)
+    verdicts = []
+    for bq in [fig1, fig5] + [_random_string_pair(seed) for seed in range(30)]:
+        q = oracle.Quiver(
+            bq.vertices, [(a.id, a.source, a.target) for a in bq.arrows], bq.relations
+        )
+        for cw in _random_closed_walks(bq, rng, 300):
+            expected = oracle.is_band(q, tuple((l.arrow, l.inv) for l in cw.letters))
+            assert (not band_problems(bq, cw)) == expected, cw
+            verdicts.append(expected)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
 class TestCanonical:
     def test_string_inversion_fixed_point(self, fig5):
         w = parse_walk(fig5, B_TEXT)
@@ -235,6 +283,12 @@ class TestBands:
         )
         assert is_finite_dimensional(bq)
         assert not band_exists(bq)
+        # band_problems rejects each rotation of either orientation by its run
+        cycle = CyclicWalk(tuple(Letter(x, False) for x in ("a'", "e", "b", "c")))
+        for orient in (cycle, cycle.inverse()):
+            for t in range(len(cycle)):
+                problems = band_problems(bq, orient.rotate(t))
+                assert any(" run at positions " in p and "a'eb" in p.split(": ")[1] for p in problems)
 
 
 @settings(max_examples=15, deadline=None)
