@@ -252,16 +252,15 @@ class BoundQuiver:
 
 def _factor_minimal(rels: list[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
     """Drop duplicates and any generator containing another as a contiguous
-    factor, keeping first-occurrence order."""
+    factor, keeping first-occurrence order.  A factor can only equal a
+    generator of its own length, so only windows of those lengths are read."""
     unique = dict.fromkeys(rels)
+    lengths = {len(r) for r in unique}
     return tuple(
         r
         for r in unique
         if not any(
-            r[i:j] in unique
-            for i in range(len(r))
-            for j in range(i + 2, len(r) + 1)
-            if j - i < len(r)
+            r[i : i + n] in unique for n in lengths if n < len(r) for i in range(len(r) - n + 1)
         )
     )
 

@@ -18,6 +18,7 @@ walks are wrapped as ``cycle( ... )``.
 from __future__ import annotations
 
 import json
+import re
 
 from .core import Arrow, BoundQuiver, is_token
 from .errors import ParseError, UnknownArrow, UnknownVertex
@@ -25,74 +26,70 @@ from .walks import CyclicWalk, Letter, Walk
 
 
 def parse_quiver(text: str) -> BoundQuiver:
-    lines: list[tuple[int, str]] = []
+    # (line number, line without comment or blanks, column where it starts);
+    # every column counts from the start of the raw line
+    lines: list[tuple[int, str, int]] = []
     for i, raw in enumerate(text.split("\n"), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((i, stripped))
-    pos = 0
+        body = raw.split("#", 1)[0]
+        if body.strip():
+            lines.append((i, body.strip(), len(body) - len(body.lstrip()) + 1))
 
-    def need(what: str) -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(lines):
-            last = lines[-1][0] if lines else 1
-            raise ParseError(last, 1, f"unexpected end of document, expected {what}")
-        item = lines[pos]
-        pos += 1
-        return item
-
-    ln, line = need("'quiver' header")
+    if not lines:
+        raise ParseError(1, 1, "unexpected end of document, expected 'quiver' header")
+    ln, line, col = lines[0]
     if line != "quiver":
-        raise ParseError(ln, 1, f"expected 'quiver', got {line!r}")
-
-    ln, line = need("'vertices:' line")
+        raise ParseError(ln, col, f"expected 'quiver', got {line!r}")
+    if len(lines) == 1:
+        raise ParseError(ln, 1, "unexpected end of document, expected 'vertices:' line")
+    ln, line, col = lines[1]
     if not line.startswith("vertices:"):
-        raise ParseError(ln, 1, f"expected 'vertices:', got {line!r}")
-    vertices = line[len("vertices:") :].split()
+        raise ParseError(ln, col, f"expected 'vertices:', got {line!r}")
+    skip = len("vertices:")
+    vertices = _tokens(ln, line[skip:], col + skip, "bad vertex token")
     if not vertices:
-        raise ParseError(ln, len(line), "at least one vertex is required")
-    for v in vertices:
-        if not is_token(v):
-            raise ParseError(ln, line.index(v) + 1, f"bad vertex token {v!r}")
-
-    if pos < len(lines):
-        ln, line = need("'arrows:' line")
-        if line != "arrows:":
-            raise ParseError(ln, 1, f"expected 'arrows:', got {line!r}")
+        raise ParseError(ln, col + len(line) - 1, "at least one vertex is required")
+    if len(lines) > 2 and lines[2][1] != "arrows:":
+        ln, line, col = lines[2]
+        raise ParseError(ln, col, f"expected 'arrows:', got {line!r}")
 
     arrows: list[Arrow] = []
     relations: list[list[str]] = []
     in_relations = False
-    while pos < len(lines):
-        ln, line = lines[pos]
-        pos += 1
+    for ln, line, col in lines[3:]:
         if line == "relations:":
             in_relations = True
-            continue
-        if in_relations:
-            word = line.split()
-            for x in word:
-                if not is_token(x):
-                    raise ParseError(ln, line.index(x) + 1, f"bad token {x!r}")
-            relations.append(word)
+        elif in_relations:
+            relations.append(_tokens(ln, line, col, "bad token"))
         else:
-            arrows.append(_parse_arrow_line(ln, line))
+            arrows.append(_parse_arrow_line(ln, line, col))
 
     return BoundQuiver.build(vertices, arrows, relations)
 
 
-def _parse_arrow_line(ln: int, line: str) -> Arrow:
-    if ":" not in line:
-        raise ParseError(ln, 1, f"expected 'id: source -> target', got {line!r}")
-    aid, rest = line.split(":", 1)
-    aid = aid.strip()
-    if "->" not in rest:
-        raise ParseError(ln, len(aid) + 2, f"missing '->' in arrow line {line!r}")
-    src, tgt = (part.strip() for part in rest.split("->", 1))
-    for tok in (aid, src, tgt):
+def _tokens(ln: int, text: str, col: int, what: str) -> list[str]:
+    """The whitespace-separated tokens of ``text``, which starts at column ``col``."""
+    found = text.split()
+    if not all(map(is_token, found)):
+        bad = next(m for m in re.finditer(r"\S+", text) if not is_token(m.group()))
+        raise ParseError(ln, col + bad.start(), f"{what} {bad.group()!r}")
+    return found
+
+
+def _parse_arrow_line(ln: int, line: str, col: int) -> Arrow:
+    colon = line.find(":")
+    if colon < 0:
+        raise ParseError(ln, col, f"expected 'id: source -> target', got {line!r}")
+    arrow = line.find("->", colon)
+    if arrow < 0:
+        raise ParseError(ln, col + colon + 1, f"missing '->' in arrow line {line!r}")
+    ends = []
+    for start, stop in ((0, colon), (colon + 1, arrow), (arrow + 2, len(line))):
+        part = line[start:stop]
+        tok = part.strip()
         if not is_token(tok):
-            raise ParseError(ln, line.index(tok) + 1 if tok else 1, f"bad token {tok!r}")
-    return Arrow(aid, src, tgt)
+            raise ParseError(ln, col + start + len(part) - len(part.lstrip()), f"bad token {tok!r}")
+        ends.append(tok)
+    return Arrow(*ends)
 
 
 def format_quiver(bq: BoundQuiver) -> str:
@@ -124,6 +121,8 @@ def quiver_from_json(data: dict | str) -> BoundQuiver:
         relations = [tuple(rel) for rel in data["relations"]]
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.colno, exc.msg) from None
+    except (RecursionError, ValueError) as exc:  # nested too deep, a number too long
+        raise ParseError(1, 1, f"unreadable JSON: {exc}") from None
     except KeyError as exc:
         raise ParseError(1, 1, f"JSON quiver has no key {exc}") from None
     except TypeError as exc:

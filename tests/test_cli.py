@@ -330,10 +330,19 @@ def test_infinite_dimensional_names_the_cycle(call, tmp_path, argv):
             ["homdim", "--from", "cycle(e(1))", "--to", "a"],
             "InvalidWalkText",
         ),
+        (
+            '{"vertices": ["1", "2"], "arrows": [{"id": "a", "source": "1", "target": "2"}],'
+            ' "relations": []}',
+            ["homdim", "--from", "cycle( a )", "--to", "a"],
+            "InvalidWalkText",
+        ),
+        ("[" * 100_000 + "]" * 100_000, ["validate"], "ParseError"),
+        ('{"vertices": [' + "1" * 5000 + '], "arrows": [], "relations": []}', ["validate"],
+         "ParseError"),
     ],
     ids=[
         "truncated", "no-arrows", "list", "int-id", "dict-id", "not-utf8", "directory",
-        "empty-cycle", "trivial-cycle",
+        "empty-cycle", "trivial-cycle", "cyclic-homdim", "nested-too-deep", "long-number",
     ],
 )
 def test_bad_input_exit_2(call, tmp_path, content, argv, tag):

@@ -9,6 +9,7 @@ from strquiv import (
     DanglingEndpoint,
     DuplicateId,
     InfiniteDimensional,
+    InvalidPath,
     NonComposableRelation,
     Path,
     RandomSagSpec,
@@ -73,6 +74,21 @@ class TestIdeal:
 
     def test_trivial_path_never_in_ideal(self, fig1):
         assert not in_ideal(fig1, Path((), "1"))
+
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda bq: Path((), None), "trivial path needs an anchor vertex"),
+            (lambda bq: in_ideal(bq, Path((), "9")), "unknown vertex '9'"),
+            (lambda bq: in_ideal(bq, Path(("a", "zz"))), "unknown arrow 'zz'"),
+            (lambda bq: enumerate_paths(bq, "9", "1"), "unknown vertex in ('9', '1')"),
+        ],
+        ids=["no-anchor", "in-ideal-vertex", "in-ideal-arrow", "enumerate-paths-vertex"],
+    )
+    def test_invalid_paths(self, fig1, call, message):
+        with pytest.raises(InvalidPath) as err:
+            call(fig1)
+        assert str(err.value) == message
 
 
 class TestFiniteness:
@@ -198,7 +214,7 @@ def test_dimension_counts_over_the_edges_the_search_stepped(monkeypatch):
     fresh = [
         parse_quiver((FilePath(__file__).parent.parent / "fixtures" / "fig5.quiver").read_text()),
         chain(50),
-        # the generator searched its own output; a copy has no cached search
+        # a plain copy, so that no search is cached on it
         BoundQuiver(generated.vertices, generated.arrows, generated.relations),
     ]
     stepped = []

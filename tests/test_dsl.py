@@ -42,6 +42,40 @@ class TestParse:
             parse_quiver("quiver\nvertices: 1\narrows:\nrelations:\n  zz yy\n")
 
 
+_HEAD = "quiver\nvertices: 1 2\narrows:\n"
+
+
+# one case per ParseError raised while reading the DSL; columns count from
+# the start of the raw line, indentation included
+@pytest.mark.parametrize(
+    ("text", "line", "col", "message"),
+    [
+        ("# nothing\n", 1, 1, "unexpected end of document, expected 'quiver' header"),
+        ("# header\n  quiver\n", 2, 1, "unexpected end of document, expected 'vertices:' line"),
+        ("  quiverx\n", 1, 3, "expected 'quiver', got 'quiverx'"),
+        ("quiver\n  verts: 1\n", 2, 3, "expected 'vertices:', got 'verts: 1'"),
+        ("quiver\n  vertices:  # none\n", 2, 11, "at least one vertex is required"),
+        ("quiver\nvertices: 1 s:\n", 2, 13, "bad vertex token 's:'"),
+        ("quiver\n  vertices: 1 2!\n", 2, 15, "bad vertex token '2!'"),
+        ("quiver\nvertices: 1\n  arrow:\n", 3, 3, "expected 'arrows:', got 'arrow:'"),
+        (_HEAD + "relations:\n  a a!\n", 5, 5, "bad token 'a!'"),
+        (_HEAD + "  a 1 -> 2\n", 4, 3, "expected 'id: source -> target', got 'a 1 -> 2'"),
+        (_HEAD + "  a: 1 2\n", 4, 5, "missing '->' in arrow line 'a: 1 2'"),
+        (_HEAD + "  a: 1 -> x!\n", 4, 11, "bad token 'x!'"),
+        (_HEAD + "  a: -> 2\n", 4, 6, "bad token ''"),
+    ],
+    ids=[
+        "no-header", "no-vertices-line", "not-quiver", "not-vertices", "no-vertex",
+        "vertex-token-in-header", "bad-vertex-token", "not-arrows", "bad-relation-token",
+        "no-colon", "missing-arrow", "bad-arrow-token", "empty-arrow-token",
+    ],
+)
+def test_parse_error_position(text, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_quiver(text)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
 class TestRoundTrip:
     def test_dsl_round_trip(self, fig1, fig5):
         for bq in (fig1, fig5):

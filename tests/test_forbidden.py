@@ -98,6 +98,20 @@ class TestIsPerfect:
         with pytest.raises(NotForbiddenCycle):
             is_perfect(fig5, ForbiddenCycle(("a", "e'")))
 
+    @pytest.mark.parametrize(
+        ("arrows", "message"),
+        [
+            ((), "empty cycle"),
+            (("a", "zz"), "unknown arrow 'zz'"),
+            (("a", "b", "c", "a", "b", "c"), "cycle vertices are not pairwise distinct"),
+        ],
+        ids=["empty", "unknown-arrow", "repeated-vertex"],
+    )
+    def test_each_rejection_names_one_problem(self, fig5, arrows, message):
+        with pytest.raises(NotForbiddenCycle) as err:
+            is_perfect(fig5, ForbiddenCycle(arrows))
+        assert str(err.value) == message
+
 
 class TestPerfectIndex:
     def test_fig5(self, fig5):

@@ -61,12 +61,23 @@ def test_two_arrows_per_vertex_is_satisfiable():
     ("vertices", "arrows"), [(1, 2), (3, 6), (5, 7), (8, 12), (12, 18), (40, 60)]
 )
 def test_output_is_unchanged_by_build(vertices, arrows):
-    # the generator uses the plain constructor; build must have nothing to fix
+    # the generator uses the plain constructor; build must have nothing to
+    # fix, and nothing checks at run time that the output is SAG and finite
     for seed in range(20):
         for density in (0.0, 0.4, 1.0):
             spec = RandomSagSpec(seed, vertices, arrows, density)
             bq = gen_random_sag(spec)
             assert BoundQuiver.build(bq.vertices, bq.arrows, bq.relations) == bq, spec
+            assert classify(bq).is_sag and is_finite_dimensional(bq), spec
+
+
+def test_output_is_neither_classified_nor_searched():
+    # SAG and finite by construction: the generator computes neither fact
+    # on the quiver it returns
+    bq = gen_random_sag(RandomSagSpec(seed=3, num_vertices=20, num_arrows=30))
+    cached = vars(bq)
+    assert "classification" not in cached and "_product_dfs" not in cached
+    assert not cached.get("_product_table")
 
 
 def test_density_extremes():

@@ -10,6 +10,8 @@ from strquiv import (
     Arrow,
     BoundQuiver,
     DuplicateId,
+    InvalidWalk,
+    Letter,
     NotLeftForbidden,
     NotSAG,
     RIndex,
@@ -188,6 +190,20 @@ class TestLiftWalk:
         tr = r_transform(fig5, validate_index(fig5, ["a"]))
         lifted = lift_walk(tr, parse_walk(fig5, "a^-1"))
         assert format_walk(lifted) == "a_R^-1 a_L^-1"
+
+    @pytest.mark.parametrize(
+        ("walk", "message"),
+        [
+            (Walk((), "9"), "anchor '9' not in transformed quiver"),
+            (Walk((Letter("zz", False),)), "letter 'zz' unknown to the transform"),
+        ],
+        ids=["anchor", "letter"],
+    )
+    def test_unknown_walk_is_rejected(self, fig5, walk, message):
+        tr = r_transform(fig5, validate_index(fig5, ["a"]))
+        with pytest.raises(InvalidWalk) as err:
+            lift_walk(tr, walk)
+        assert str(err.value) == message
 
 
 class TestCma:

@@ -87,6 +87,9 @@ class TestValidateString:
         with pytest.raises(UnknownArrow):
             validate_string(fig5, Walk((Letter("zz", False),)))
 
+    def test_trivial_walk_at_an_unknown_vertex(self, fig5):
+        assert string_problems(fig5, Walk((), "9")) == ["anchor '9' is not a vertex"]
+
     def test_not_string_pair_enforced(self):
         star = BoundQuiver.build(
             ["0", "1", "2", "3"],
@@ -507,7 +510,7 @@ def _fresh_quivers():
     vertices = [str(i) for i in range(50)]
     a50 = BoundQuiver.build(vertices, [Arrow(f"a{i}", str(i), str(i + 1)) for i in range(49)])
     spec = RandomSagSpec(seed=3, num_vertices=100, num_arrows=150, relation_density=0.4)
-    generated = gen_random_sag(spec)  # the generator searched its own output
+    generated = gen_random_sag(spec)  # copied below, so that no search is cached on it
     return [fig5, a50, BoundQuiver(generated.vertices, generated.arrows, generated.relations)]
 
 
