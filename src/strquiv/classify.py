@@ -30,22 +30,22 @@ def check_s1(bq: BoundQuiver) -> list[str]:
     ]
 
 
-def _side_violations(bq: BoundQuiver, in_ideal_pairs: bool) -> list[tuple[str, str]]:
-    """Arrows with more than one continuation on a side whose two-path is
-    in the ideal (``in_ideal_pairs``) or relation-free (otherwise)."""
-
-    def counted(first: str, second: str) -> bool:
-        return ((first, second) in bq.relation_pairs) == in_ideal_pairs
-
-    bad: list[tuple[str, str]] = []
+def _continuation_witnesses(bq: BoundQuiver) -> tuple[list[tuple[str, str]], ...]:
+    """One pass over the arrows: those with more than one relation-free
+    continuation on a side, the (S2) witnesses, and those with more than
+    one continuation in the ideal, the gentle witnesses."""
+    after, before = bq._relation_partners
+    s2: list[tuple[str, str]] = []
+    gentle: list[tuple[str, str]] = []
     for a in bq.arrows:
-        succs = [b for b in bq.out_arrows[a.target] if counted(a.id, b.id)]
-        if len(succs) > 1:
-            bad.append((a.id, "R"))
-        preds = [g for g in bq.in_arrows[a.source] if counted(g.id, a.id)]
-        if len(preds) > 1:
-            bad.append((a.id, "L"))
-    return bad
+        ends = (("R", after, bq.out_arrows[a.target]), ("L", before, bq.in_arrows[a.source]))
+        for side, partners, neighbours in ends:
+            blocked = len(partners.get(a.id, ()))
+            if len(neighbours) - blocked > 1:
+                s2.append((a.id, side))
+            if blocked > 1:
+                gentle.append((a.id, side))
+    return s2, gentle
 
 
 def check_s2(bq: BoundQuiver) -> list[tuple[str, str]]:
@@ -54,7 +54,7 @@ def check_s2(bq: BoundQuiver) -> list[tuple[str, str]]:
     For each arrow x the successors y with x·y outside the ideal must number
     at most one (side "R"), and dually for predecessors (side "L").
     """
-    return _side_violations(bq, in_ideal_pairs=False)
+    return _continuation_witnesses(bq)[0]
 
 
 def classify(bq: BoundQuiver) -> Classification:
@@ -64,24 +64,17 @@ def classify(bq: BoundQuiver) -> Classification:
 
 def _classification(bq: BoundQuiver) -> Classification:
     """Compute :attr:`BoundQuiver.classification`; the property caches it."""
-    violations: list[tuple[str, object]] = []
     s1 = check_s1(bq)
-    for v in s1:
-        violations.append(("degree", v))
-    s2 = check_s2(bq)
-    for arrow, side in s2:
-        violations.append(("continuation-" + side, arrow))
+    s2, gentle = _continuation_witnesses(bq)
     long_rels = [rel for rel in bq.relations if len(rel) != 2]
-    for rel in long_rels:
-        violations.append(("relation-length", rel))
-
     is_string = not s1 and not s2
     is_almost_gentle = not s2 and not long_rels
     is_sag = is_string and is_almost_gentle
-
-    gentle_bad = _side_violations(bq, in_ideal_pairs=True) if is_sag else []
-    for arrow, side in gentle_bad:
-        violations.append(("gentle-" + side, arrow))
-    is_gentle = is_sag and not gentle_bad
-
+    is_gentle = is_sag and not gentle
+    violations = (
+        [("degree", v) for v in s1]
+        + [("continuation-" + side, arrow) for arrow, side in s2]
+        + [("relation-length", rel) for rel in long_rels]
+        + [("gentle-" + side, arrow) for arrow, side in (gentle if is_sag else [])]
+    )
     return Classification(is_string, is_almost_gentle, is_sag, is_gentle, tuple(violations))

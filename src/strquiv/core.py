@@ -105,6 +105,15 @@ class FactorAutomaton:
         nxt = self._goto[state].get(sym, 0)
         return None if self._accept[nxt] else nxt
 
+    def has_factor(self, word: Iterable[str]) -> bool:
+        """True iff ``word`` contains one of the given words as a contiguous factor."""
+        state: int | None = 0
+        for sym in word:
+            state = self.step(state, sym)
+            if state is None:
+                return True
+        return False
+
 
 @dataclass(frozen=True)
 class BoundQuiver:
@@ -203,9 +212,22 @@ class BoundQuiver:
         return frozenset(r for r in self.relations if len(r) == 2)
 
     @cached_property
+    def _relation_partners(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """For each arrow x, the arrows y with xy a length-2 relation and the
+        arrows w with wx one, in declaration order, as two dicts that omit
+        arrows with no partner; the first has its keys in that order too."""
+        idx = self.arrow_index
+        after: dict[str, list[str]] = {}
+        before: dict[str, list[str]] = {}
+        for x, y in sorted(self.relation_pairs, key=lambda p: (idx[p[0]], idx[p[1]])):
+            after.setdefault(x, []).append(y)
+            before.setdefault(y, []).append(x)
+        return after, before
+
+    @cached_property
     def left_forbidden_arrows(self) -> frozenset[str]:
         """Arrows that head a length-2 relation."""
-        return frozenset(first for first, _ in self.relation_pairs)
+        return frozenset(self._relation_partners[0])
 
     @cached_property
     def _product_dfs(self) -> tuple[tuple | None, list[_ProductNode]]:
@@ -252,16 +274,16 @@ class BoundQuiver:
 
 def _factor_minimal(rels: list[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
     """Drop duplicates and any generator containing another as a contiguous
-    factor, keeping first-occurrence order.  A factor can only equal a
-    generator of its own length, so only windows of those lengths are read."""
+    factor, keeping first-occurrence order.  Every proper factor of a word
+    lies in the word without its first or without its last letter, so a
+    generator is dropped when either of those contains one.  Generators of a
+    single length contain none of each other, and no automaton is built."""
     unique = dict.fromkeys(rels)
-    lengths = {len(r) for r in unique}
+    if len({len(r) for r in unique}) <= 1:
+        return tuple(unique)
+    automaton = FactorAutomaton(unique)
     return tuple(
-        r
-        for r in unique
-        if not any(
-            r[i : i + n] in unique for n in lengths if n < len(r) for i in range(len(r) - n + 1)
-        )
+        r for r in unique if not (automaton.has_factor(r[1:]) or automaton.has_factor(r[:-1]))
     )
 
 
@@ -278,12 +300,7 @@ def in_ideal(bq: BoundQuiver, p: Path) -> bool:
 
 
 def word_in_ideal(bq: BoundQuiver, word: tuple[str, ...]) -> bool:
-    state: int | None = 0
-    for sym in word:
-        state = bq.automaton.step(state, sym)
-        if state is None:
-            return True
-    return False
+    return bq.automaton.has_factor(word)
 
 
 def depth_first(bq: BoundQuiver) -> tuple[tuple | None, list[_ProductNode]]:

@@ -76,12 +76,10 @@ def _flagged_cycles(bq: BoundQuiver) -> tuple[tuple[ForbiddenCycle, bool], ...]:
     """Every forbidden cycle with its perfect flag; run once per quiver, as
     ``BoundQuiver._flagged_cycles``."""
     idx = bq.arrow_index
-    succs: dict[str, list[str]] = {}
-    for a, b in sorted(bq.relation_pairs, key=lambda p: (idx[p[0]], idx[p[1]])):
-        succs.setdefault(a, []).append(b)
+    succs, preds = bq._relation_partners
     # the vertices joined by an arrow to each vertex that a path can step onto
     near = {v: {a.source for a in bq.in_arrows[v]} | {a.target for a in bq.out_arrows[v]}
-            for v in {bq.arrow_by_id[b].target for _, b in bq.relation_pairs}}
+            for v in {bq.arrow_by_id[b].target for b in preds}}
     out: list[ForbiddenCycle] = []
     # Each cycle of relations on distinct vertices is met once, from its
     # first-declared arrow, which makes it canonically rotated already.  A
@@ -115,17 +113,14 @@ def is_perfect(bq: BoundQuiver, cycle: ForbiddenCycle) -> bool:
 
 
 def _is_perfect(bq: BoundQuiver, arrows: tuple[str, ...]) -> bool:
-    """:func:`is_perfect` of arrows already known to form a forbidden cycle."""
+    """:func:`is_perfect` of arrows already known to form a forbidden cycle:
+    every relation partner of a cycle arrow lies on the cycle."""
     members = set(arrows)
-    for i, leaving in enumerate(arrows):
-        vertex, entering = bq.arrow_by_id[leaving].source, arrows[i - 1]
-        for a in bq.in_arrows[vertex]:
-            if a.id not in members and (a.id, leaving) in bq.relation_pairs:
-                return False
-        for b in bq.out_arrows[vertex]:
-            if b.id not in members and (entering, b.id) in bq.relation_pairs:
-                return False
-    return True
+    after, before = bq._relation_partners
+    return all(
+        members.issuperset(after.get(x, ())) and members.issuperset(before.get(x, ()))
+        for x in arrows
+    )
 
 
 def perfect_index(bq: BoundQuiver) -> PerfectIndex:

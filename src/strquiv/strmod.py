@@ -152,11 +152,10 @@ def _arrow_module_homs(bq: BoundQuiver, arrows: tuple[str, ...], summands: list[
     relations αβ, so by the Yoneda lemma hom(αA, M(Y)) counts the vertices
     of Y at t on which no such β acts; β acts at vertex i if letter i is β
     or letter i - 1 is β⁻¹."""
-    kernels: dict[str, list[set[str]]] = {}
+    after = bq._relation_partners[0]
+    kernels: dict[str, list[list[str]]] = {}
     for alpha in arrows:
-        t = bq.arrow_by_id[alpha].target
-        kernel = {b.id for b in bq.out_arrows[t] if (alpha, b.id) in bq.relation_pairs}
-        kernels.setdefault(t, []).append(kernel)
+        kernels.setdefault(bq.arrow_by_id[alpha].target, []).append(after.get(alpha, []))
     total = 0
     for y in summands:
         letters, n = y.letters, len(y.letters)

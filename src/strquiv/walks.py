@@ -103,6 +103,11 @@ def _require_string_pair(bq: BoundQuiver) -> None:
 
 def string_problems(bq: BoundQuiver, w: Walk) -> list[str]:
     """Diagnostics for why ``w`` fails to be a string; empty means valid."""
+    return _walk_problems(bq, w, len(w.letters))
+
+
+def _walk_problems(bq: BoundQuiver, w: Walk, period: int) -> list[str]:
+    """:func:`string_problems` of ``w``, with each position taken mod ``period``."""
     for l in w.letters:
         if l.arrow not in bq.arrow_by_id:
             raise UnknownArrow(f"unknown arrow {l.arrow!r}")
@@ -115,11 +120,11 @@ def string_problems(bq: BoundQuiver, w: Walk) -> list[str]:
     for i in range(len(letters) - 1):
         if letter_target(bq, letters[i]) != letter_source(bq, letters[i + 1]):
             problems.append(
-                f"letters {i} and {i + 1} do not connect: "
+                f"letters {i % period} and {(i + 1) % period} do not connect: "
                 f"{letter_target(bq, letters[i])} != {letter_source(bq, letters[i + 1])}"
             )
         if letters[i + 1] == letters[i].inverse():
-            problems.append(f"backtrack at position {i}: letter followed by its inverse")
+            problems.append(f"backtrack at position {i % period}: letter followed by its inverse")
     start = 0
     for inv, run in groupby(letters, key=lambda l: l.inv):
         arrows = [l.arrow for l in run]
@@ -128,8 +133,8 @@ def string_problems(bq: BoundQuiver, w: Walk) -> list[str]:
         if word_in_ideal(bq, word):
             direction = "inverse" if inv else "forward"
             problems.append(
-                f"{direction} run at positions {start}..{stop - 1} lies in the ideal: "
-                + "".join(word)
+                f"{direction} run at positions {start % period}..{(stop - 1) % period} "
+                "lies in the ideal: " + "".join(word)
             )
         start = stop
     return problems
@@ -145,9 +150,10 @@ def band_problems(bq: BoundQuiver, cw: CyclicWalk) -> list[str]:
 
     A relation has at most ``max_relation_length`` letters, so the power
     below holds every factor of every power of ``cw`` that a relation could
-    be, and every wrap-around pair: it is a string iff all powers are."""
+    be, and every wrap-around pair: it is a string iff all powers are.  Each
+    problem is reported once, at its position in ``cw``."""
     reps = bq.max_relation_length // len(cw) + 2
-    problems = string_problems(bq, Walk(cw.letters * reps))
+    problems = list(dict.fromkeys(_walk_problems(bq, Walk(cw.letters * reps), len(cw))))
     if _primitive_root(cw.letters) != cw.letters:
         problems.append("cyclic walk is a proper power of a shorter walk")
     return problems

@@ -199,11 +199,13 @@ def test_relations_match_pairwise_normalization(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_relation_pairs_decide_two_arrow_membership(seed):
     bq, _ = _random_bound_quiver(seed)
+    after, before = bq._relation_partners
     heads = set()
     for a in bq.arrows:
         for b in bq.out_arrows[a.target]:
             member = in_ideal(bq, Path((a.id, b.id)))
             assert ((a.id, b.id) in bq.relation_pairs) == member
+            assert (b.id in after.get(a.id, ()), a.id in before.get(b.id, ())) == (member, member)
             if member:
                 heads.add(a.id)
     assert bq.left_forbidden_arrows == heads

@@ -297,21 +297,21 @@ def test_endo_dimension_pinned_at_200_vertices(at_perfect_index, expected):
 
 def test_classification_is_computed_once_per_quiver(monkeypatch):
     module = importlib.import_module("strquiv.classify")
-    original = module._side_violations
+    original = module._continuation_witnesses
     calls = []
 
-    def counted(bq, in_ideal_pairs):
-        calls.append(in_ideal_pairs)
-        return original(bq, in_ideal_pairs)
+    def counted(bq):
+        calls.append(bq)
+        return original(bq)
 
-    monkeypatch.setattr(module, "_side_violations", counted)
+    monkeypatch.setattr(module, "_continuation_witnesses", counted)
     fixture = Path(__file__).resolve().parent.parent / "fixtures" / "fig5.quiver"
     bq = parse_quiver(fixture.read_text())
     index = validate_index(bq, ["a", "b"])
     for _ in range(2):
         verify_endo_dimension(bq, index)
-    # once for (S2), once for the gentle check
-    assert len(calls) <= 2
+    # one pass yields both the (S2) and the gentle witnesses
+    assert len(calls) == 1
 
 
 def _fresh_fig5():

@@ -119,6 +119,15 @@ class TestValidateBand:
         cw = CyclicWalk((Letter("a", False), Letter("a", True)))
         assert not validate_band(fig5, cw)
 
+    def test_each_problem_is_reported_once_at_its_position_in_the_walk(self, fig5):
+        # the power checked holds three copies of a a^-1; each backtrack
+        # of the cyclic walk is named once, at its position in the walk
+        cw = parse_walk(fig5, "cycle( a a^-1 )")
+        assert band_problems(fig5, cw) == [
+            "backtrack at position 0: letter followed by its inverse",
+            "backtrack at position 1: letter followed by its inverse",
+        ]
+
     def test_directed_cycle_with_power_in_ideal(self, fig5):
         cw = CyclicWalk(tuple(Letter(x, False) for x in ("a", "b", "c")))
         assert not validate_band(fig5, cw)
