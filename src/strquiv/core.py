@@ -206,22 +206,17 @@ class BoundQuiver:
         return max((len(r) for r in self.relations), default=0)
 
     @cached_property
-    def relation_pairs(self) -> frozenset[tuple[str, str]]:
-        """The length-2 relations.  Relations are factor-minimal and have
-        length >= 2, so a two-arrow path lies in the ideal iff it is one."""
-        return frozenset(r for r in self.relations if len(r) == 2)
-
-    @cached_property
     def _relation_partners(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
         """For each arrow x, the arrows y with xy a length-2 relation and the
-        arrows w with wx one, in declaration order, as two dicts that omit
-        arrows with no partner; the first has its keys in that order too."""
-        idx = self.arrow_index
+        arrows w with wx one, in relation order, as two dicts that omit
+        arrows with no partner.  Relations are factor-minimal and have length
+        >= 2, so a two-arrow path lies in the ideal iff it is one of these."""
         after: dict[str, list[str]] = {}
         before: dict[str, list[str]] = {}
-        for x, y in sorted(self.relation_pairs, key=lambda p: (idx[p[0]], idx[p[1]])):
-            after.setdefault(x, []).append(y)
-            before.setdefault(y, []).append(x)
+        for r in self.relations:
+            if len(r) == 2:
+                after.setdefault(r[0], []).append(r[1])
+                before.setdefault(r[1], []).append(r[0])
         return after, before
 
     @cached_property

@@ -48,7 +48,7 @@ def _cycle_problems(bq: BoundQuiver, arrows: tuple[str, ...]) -> list[str]:
         b = bq.arrow_by_id[arrows[(i + 1) % n]]
         if a.target != b.source:
             problems.append(f"arrows {a.id} and {b.id} do not compose")
-        elif (a.id, b.id) not in bq.relation_pairs:
+        elif b.id not in bq._relation_partners[0].get(a.id, ()):
             problems.append(f"product {a.id}{b.id} is not in the ideal")
     vertices = [bq.arrow_by_id[x].source for x in arrows]
     if len(set(vertices)) != n:
@@ -85,7 +85,7 @@ def _flagged_cycles(bq: BoundQuiver) -> tuple[tuple[ForbiddenCycle, bool], ...]:
     # first-declared arrow, which makes it canonically rotated already.  A
     # path grows only onto a fresh vertex joined to no inner path vertex and,
     # once its end is joined to its start, may only close: it closes chordless.
-    for first in succs:  # each heads a relation, in declaration order
+    for first in succs:  # each heads a relation; the sort below fixes the order
         start, end = bq.arrow_by_id[first].source, bq.arrow_by_id[first].target
         stack = [((first,), (start, end))]
         while stack:

@@ -79,7 +79,7 @@ def _repair(bq: BoundQuiver) -> BoundQuiver:
         bq = _with_relations(bq, {(cycle[0], follower)})
     # Restore continuation uniqueness: where an arrow has two relation-free
     # continuations on a side, forbid all but the first.
-    pairs = bq.relation_pairs
+    pairs = set(bq.relations)  # every relation made here has length 2
     extra: set[tuple[str, str]] = set()
     for a in bq.arrows:
         free = [b.id for b in bq.out_arrows[a.target] if (a.id, b.id) not in pairs]

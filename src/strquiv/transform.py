@@ -61,6 +61,12 @@ def _fresh_id(base: str, taken: set[str]) -> str:
     return candidate
 
 
+def _split(arrow_map: dict[str, tuple[str, str]], word: tuple[str, ...]) -> tuple[str, ...]:
+    """The image α^× of a word: each split arrow α becomes α_L α_R, and the
+    other arrows pass through."""
+    return tuple(y for x in word for y in arrow_map.get(x, (x,)))
+
+
 def r_transform(bq: BoundQuiver, index: RIndex) -> TransformResult:
     members = set(index.arrows)
     if len(members) < len(index.arrows):  # a hand-built RIndex is outside input
@@ -85,53 +91,34 @@ def r_transform(bq: BoundQuiver, index: RIndex) -> TransformResult:
         else:
             arrows.append(a)
 
-    def expand(rel: tuple[str, ...]) -> tuple[str, ...]:
-        out: list[str] = []
-        last = len(rel) - 1
-        for i, x in enumerate(rel):
-            if x not in members:
-                out.append(x)
-                continue
-            left, right = arrow_map[x]
-            if i == 0:
-                out.append(right)
-            elif i == last:
-                out.append(left)
-            else:
-                out.extend((left, right))
-        return tuple(out)
-
-    # The ids are fresh, and each expanded generator maps back letter by
-    # letter to its source generator, so the relations stay composable and
-    # factor-minimal: the plain constructor suffices.
-    relations = tuple(expand(rel) for rel in bq.relations)
-    quiver = BoundQuiver(vertices, tuple(arrows), relations)
+    # Each generator a_1 ⋯ a_n becomes (a_1)_R a_2^× ⋯ (a_n)_L: its image
+    # without the first letter's α_L and the last letter's α_R.  The ids are
+    # fresh, and each rewritten generator maps back letter by letter to its
+    # source generator, so the relations stay composable and factor-minimal:
+    # the plain constructor suffices.
+    relations = []
+    for rel in bq.relations:
+        word = _split(arrow_map, rel)
+        relations.append(word[rel[0] in members : len(word) - (rel[-1] in members)])
+    quiver = BoundQuiver(vertices, tuple(arrows), tuple(relations))
     return TransformResult(quiver, vertex_map, arrow_map)
 
 
 def lift_walk(tr: TransformResult, w: Walk | CyclicWalk) -> Walk | CyclicWalk:
     """Rewrite a walk over the source quiver onto the transformed quiver:
-    each split forward letter becomes alpha_L·alpha_R, each split inverse
-    letter alpha_R^-1·alpha_L^-1; other letters pass through."""
+    each forward letter becomes its image α^×, so a split α becomes
+    α_L·α_R, and each inverse letter the inverse of its image."""
     if isinstance(w, Walk) and w.is_trivial:
         if w.anchor not in tr.quiver.vertex_index:
             raise InvalidWalk(f"anchor {w.anchor!r} not in transformed quiver")
         return w
     lifted: list[Letter] = []
     for letter in w.letters:
-        if letter.arrow in tr.arrow_map:
-            left, right = tr.arrow_map[letter.arrow]
-            if letter.inv:
-                lifted.extend((Letter(right, True), Letter(left, True)))
-            else:
-                lifted.extend((Letter(left, False), Letter(right, False)))
-        elif letter.arrow in tr.quiver.arrow_by_id:
-            lifted.append(letter)
-        else:
+        if letter.arrow not in tr.arrow_map and letter.arrow not in tr.quiver.arrow_by_id:
             raise InvalidWalk(f"letter {letter.arrow!r} unknown to the transform")
-    if isinstance(w, CyclicWalk):
-        return CyclicWalk(tuple(lifted))
-    return Walk(tuple(lifted))
+        image = _split(tr.arrow_map, (letter.arrow,))
+        lifted.extend(Letter(x, letter.inv) for x in (image[::-1] if letter.inv else image))
+    return type(w)(tuple(lifted))
 
 
 def _require_sag_finite(bq: BoundQuiver) -> None:

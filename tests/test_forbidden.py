@@ -9,10 +9,12 @@ from strquiv import (
     BoundQuiver,
     ForbiddenCycle,
     NotForbiddenCycle,
+    Path as QuiverPath,
     RandomSagSpec,
     cma,
     forbidden_cycles,
     gen_random_sag,
+    in_ideal,
     is_perfect,
     left_forbidden_arrows,
     parse_quiver,
@@ -189,7 +191,7 @@ def _filtered_cycles(bq):
     those that pass the outside-input check of a forbidden cycle."""
     idx = bq.arrow_index
     succs = {
-        a.id: [b.id for b in bq.out_arrows[a.target] if (a.id, b.id) in bq.relation_pairs]
+        a.id: [b.id for b in bq.out_arrows[a.target] if in_ideal(bq, QuiverPath((a.id, b.id)))]
         for a in bq.arrows
     }
     out = []

@@ -21,6 +21,7 @@ from strquiv import (
     algebra_dim,
     classify,
     cma,
+    enumerate_paths,
     find_band,
     format_walk,
     gen_random_sag,
@@ -357,3 +358,60 @@ def test_cma_reuses_the_perfect_index(monkeypatch):
     assert len(calls) == 1
     cma(bq)
     assert len(calls) == 1
+
+
+def _nontrivial_paths(bq: BoundQuiver) -> list[tuple[str, ...]]:
+    return [p.arrows for u in bq.vertices for v in bq.vertices
+            for p in enumerate_paths(bq, u, v) if not p.is_trivial]
+
+
+def _read_back(tr, word: tuple[str, ...]) -> tuple[tuple[str, ...], bool, bool]:
+    """A path of A_R read in A: each α_L α_R is α, a leading α_R is α with
+    its start cut, and a trailing α_L is α with its end cut."""
+    left = {lr[0]: alpha for alpha, lr in tr.arrow_map.items()}
+    right = {lr[1]: alpha for alpha, lr in tr.arrow_map.items()}
+    cut_start = word[0] in right
+    out = [right[word[0]]] if cut_start else []
+    i = int(cut_start)
+    while i < len(word):
+        x = word[i]
+        if x not in left:
+            out.append(x)
+            i += 1
+        elif i + 1 < len(word):
+            assert word[i + 1] == tr.arrow_map[left[x]][1]  # v_α has one arrow out
+            out.append(left[x])
+            i += 2
+        else:
+            out.append(left[x])
+            return tuple(out), cut_start, True
+    return tuple(out), cut_start, False
+
+
+def test_split_paths_correspond_to_paths_of_the_source(fig1, fig5):
+    """The relation-free paths of A_R are those of A, each end letter in R
+    possibly cut, except that a one-letter path cut at both ends is the
+    trivial path at v_α.  Checked through enumerate_paths on both sides."""
+    quivers = [fig1, fig5] + [gen_random_sag(RandomSagSpec(s, 8, 12, 0.5))
+                              for s in range(80)]
+    rng = random.Random(17)
+    checked = 0
+    for bq in quivers:
+        lf = sorted(bq.left_forbidden_arrows, key=bq.arrow_index.get)
+        source = _nontrivial_paths(bq)
+        for _ in range(3):
+            index = validate_index(bq, rng.sample(lf, rng.randint(1, len(lf))))
+            members = set(index.arrows)
+            expected = {
+                (p, cut_start, cut_end)
+                for p in source
+                for cut_start in (False, p[0] in members)
+                for cut_end in (False, p[-1] in members)
+                if not (len(p) == 1 and cut_start and cut_end)
+            }
+            tr = r_transform(bq, index)
+            found = [_read_back(tr, word) for word in _nontrivial_paths(tr.quiver)]
+            assert len(found) == len(set(found))
+            assert set(found) == expected
+            checked += len(found)
+    assert checked > 9000

@@ -127,6 +127,11 @@ class TestValidateBand:
             "backtrack at position 0: letter followed by its inverse",
             "backtrack at position 1: letter followed by its inverse",
         ]
+        # the power's one run is named by the relation it reaches first
+        cw = parse_walk(fig5, "cycle( a b c )")
+        assert band_problems(fig5, cw) == [
+            "forward run at positions 0..2 lies in the ideal: ab",
+        ]
 
     def test_directed_cycle_with_power_in_ideal(self, fig5):
         cw = CyclicWalk(tuple(Letter(x, False) for x in ("a", "b", "c")))
