@@ -107,13 +107,20 @@ def r_transform(bq: BoundQuiver, index: RIndex) -> TransformResult:
 def lift_walk(tr: TransformResult, w: Walk | CyclicWalk) -> Walk | CyclicWalk:
     """Rewrite a walk over the source quiver onto the transformed quiver:
     each forward letter becomes its image α^×, so a split α becomes
-    α_L·α_R, and each inverse letter the inverse of its image."""
+    α_L·α_R, and each inverse letter the inverse of its image.  The split
+    arrows α_L, α_R and vertices v_α are not in the source quiver, so a walk
+    naming one is rejected."""
     if isinstance(w, Walk) and w.is_trivial:
         if w.anchor not in tr.quiver.vertex_index:
             raise InvalidWalk(f"anchor {w.anchor!r} not in transformed quiver")
+        if w.anchor in tr.vertex_map.values():
+            raise InvalidWalk(f"anchor {w.anchor!r} is a split vertex")
         return w
+    split = {x for image in tr.arrow_map.values() for x in image}
     lifted: list[Letter] = []
     for letter in w.letters:
+        if letter.arrow in split:
+            raise InvalidWalk(f"letter {letter.arrow!r} is a split arrow")
         if letter.arrow not in tr.arrow_map and letter.arrow not in tr.quiver.arrow_by_id:
             raise InvalidWalk(f"letter {letter.arrow!r} unknown to the transform")
         image = _split(tr.arrow_map, (letter.arrow,))

@@ -230,23 +230,42 @@ def enumerate_strings(bq: BoundQuiver, max_letters: int) -> list[Walk]:
     """All equivalence classes of strings with at most ``max_letters`` letters.
 
     Deterministic order: trivial strings in vertex order, then nontrivial
-    canonical forms sorted by (length, letter keys).  One DFS over the
-    double quiver's product graph reaches every nontrivial string and its
-    inverse once; each entry carries the letter ids of both, and the class
-    is emitted from its canonical end.
+    canonical forms sorted by (length, letter keys).  The double quiver's
+    product graph is walked level by level.  Each level holds every
+    nontrivial string of one length with its letters, in key order; the
+    next extends each by its node's edges in letter-id order, so it is in
+    key order too.  A string is emitted when its key is below its
+    inverse's.  Its first letter id and the inverse of its last decide
+    that, and only when they are equal are the full keys compared; a string
+    never equals its inverse, which would need a backtrack in the middle.
     """
     _require_string_pair(bq)
-    w, letters = bq._double, _letter_table(bq)
-    found = []
-    stack = [(node, (k,), (k ^ 1,)) for k, node in _run_starts(bq)]
-    while stack and max_letters >= 1:
-        node, key, inv_key = stack.pop()
-        if key <= inv_key:
-            found.append((len(key), key))
-        if len(key) < max_letters:
-            stack += [(n, key + (k,), (k ^ 1,) + inv_key) for k, n in _product_edges(w, node)]
-    strings = [Walk(tuple([letters[k] for k in key])) for _, key in sorted(found)]
-    return [Walk((), v) for v in bq.vertices] + strings
+    w, table = bq._double, _letter_table(bq)
+    # each stepped node's edges in letter-id order: (inverse letter id, letter, next node)
+    steps: dict[tuple[str, int], list[tuple[int, tuple[Letter], tuple[str, int]]]] = {}
+    strings = [Walk((), v) for v in bq.vertices]
+    # entries: (letters, first letter id, inverse id of the last letter, node)
+    level = [((table[k],), k, k ^ 1, node) for k, node in _run_starts(bq)]
+    length = 1
+    while level and length <= max_letters:
+        for letters, first, inv_last, _ in level:
+            if first < inv_last or (
+                first == inv_last
+                and _walk_key(bq, letters) < _walk_key(bq, Walk(letters).inverse().letters)
+            ):
+                strings.append(Walk(letters))
+        if length == max_letters:
+            break
+        nxt = []
+        for letters, first, _, node in level:
+            edges = steps.get(node)
+            if edges is None:
+                edges = steps[node] = [
+                    (k ^ 1, (table[k],), n) for k, n in sorted(_product_edges(w, node))
+                ]
+            nxt += [(letters + one, first, inv, n) for inv, one, n in edges]
+        level, length = nxt, length + 1
+    return strings
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,13 @@ class TestLiftWalk:
         [
             (Walk((), "9"), "anchor '9' not in transformed quiver"),
             (Walk((Letter("zz", False),)), "letter 'zz' unknown to the transform"),
+            (Walk((), "v_a"), "anchor 'v_a' is a split vertex"),
+            (
+                Walk((Letter("b", False), Letter("a_R", False))),
+                "letter 'a_R' is a split arrow",
+            ),
         ],
-        ids=["anchor", "letter"],
+        ids=["anchor", "letter", "split-anchor", "split-letter"],
     )
     def test_unknown_walk_is_rejected(self, fig5, walk, message):
         tr = r_transform(fig5, validate_index(fig5, ["a"]))

@@ -459,6 +459,9 @@ class TestEnumerateMatchesReference:
         bq = request.getfixturevalue(name)
         for k in range(9):
             assert enumerate_strings(bq, k) == _per_walk_reference(bq, k)
+        # strings ending in the inverse of their first letter: the full keys decide
+        strings = enumerate_strings(bq, 8)
+        assert any(w.letters and w.letters[-1] == w.letters[0].inverse() for w in strings)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_generated_sag(self, seed):
@@ -663,6 +666,7 @@ def _finite_type_count(bq):
     assert (dim_w - len(bq.vertices)) % 2 == 0
     count = (dim_w + len(bq.vertices)) // 2
     assert count == len(enumerate_strings(bq, dim_w))
+    assert enumerate_strings(bq, 10**18) == enumerate_strings(bq, dim_w)
     return count
 
 
