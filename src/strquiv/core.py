@@ -68,12 +68,13 @@ class FactorAutomaton:
     """Aho-Corasick automaton that recognizes words containing a forbidden factor.
 
     ``step`` returns the next state, or ``None`` once the word read so far
-    contains one of the given words as a contiguous factor.
+    contains one of the given words, all nonempty, as a contiguous factor.
     """
 
     def __init__(self, words: Iterable[tuple[str, ...]]):
         goto: list[dict[str, int]] = [{}]
-        ends: list[int] = []
+        # the given word ending at each state, or None
+        accept: list[tuple[str, ...] | None] = [None]
         for word in words:
             state = 0
             for sym in word:
@@ -81,12 +82,10 @@ class FactorAutomaton:
                 if nxt is None:
                     nxt = goto[state][sym] = len(goto)
                     goto.append({})
+                    accept.append(None)
                 state = nxt
-            ends.append(state)
+            accept[state] = word
         fail = [0] * len(goto)
-        accept = [False] * len(goto)
-        for state in ends:
-            accept[state] = True
         # breadth-first failure links; the queue grows while it is read
         queue = list(goto[0].values())
         for state in queue:
@@ -105,14 +104,17 @@ class FactorAutomaton:
         nxt = self._goto[state].get(sym, 0)
         return None if self._accept[nxt] else nxt
 
-    def has_factor(self, word: Iterable[str]) -> bool:
-        """True iff ``word`` contains one of the given words as a contiguous factor."""
-        state: int | None = 0
+    def first_factor(self, word: Iterable[str]) -> tuple[str, ...] | None:
+        """The given word that ends earliest in ``word`` as a contiguous
+        factor, or None when ``word`` contains none of them."""
+        state = 0
         for sym in word:
-            state = self.step(state, sym)
-            if state is None:
-                return True
-        return False
+            while state and sym not in self._goto[state]:
+                state = self._fail[state]
+            state = self._goto[state].get(sym, 0)
+            if self._accept[state]:
+                return self._accept[state]
+        return None
 
 
 @dataclass(frozen=True)
@@ -278,7 +280,7 @@ def _factor_minimal(rels: list[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
         return tuple(unique)
     automaton = FactorAutomaton(unique)
     return tuple(
-        r for r in unique if not (automaton.has_factor(r[1:]) or automaton.has_factor(r[:-1]))
+        r for r in unique if not (automaton.first_factor(r[1:]) or automaton.first_factor(r[:-1]))
     )
 
 
@@ -291,11 +293,14 @@ def in_ideal(bq: BoundQuiver, p: Path) -> bool:
     for x in p.arrows:
         if x not in bq.arrow_by_id:
             raise InvalidPath(f"unknown arrow {x!r}")
-    return word_in_ideal(bq, p.arrows)
+    return word_in_ideal(bq, p.arrows) is not None
 
 
-def word_in_ideal(bq: BoundQuiver, word: tuple[str, ...]) -> bool:
-    return bq.automaton.has_factor(word)
+def word_in_ideal(bq: BoundQuiver, word: tuple[str, ...]) -> tuple[str, ...] | None:
+    """The relation that ends earliest in ``word``, or None.  It is unique:
+    of two relations ending at one letter, one is a factor of the other, and
+    the relations are factor-minimal, so no failure link leads to another."""
+    return bq.automaton.first_factor(word)
 
 
 def depth_first(bq: BoundQuiver) -> tuple[tuple | None, list[_ProductNode]]:
@@ -357,19 +362,17 @@ def require_finite(bq: BoundQuiver) -> None:
 
 def enumerate_paths(bq: BoundQuiver, frm: str, to: str) -> list[Path]:
     """All relation-free paths from ``frm`` to ``to``, shortest first, ties
-    broken by arrow declaration order."""
+    broken by arrow declaration order.  Level n holds the paths of n arrows
+    in that order, and extending each in turn by its node's edges, which come
+    in declaration order, keeps level n + 1 in it."""
     if frm not in bq.vertex_index or to not in bq.vertex_index:
         raise InvalidPath(f"unknown vertex in ({frm!r}, {to!r})")
-    require_finite(bq)
+    require_finite(bq)  # so some level is empty
     found: list[Path] = []
-    stack: list[tuple[tuple[str, int], tuple[str, ...]]] = [((frm, 0), ())]
-    while stack:
-        node, word = stack.pop()
-        if node[0] == to:
-            found.append(Path(word) if word else Path((), to))
-        stack.extend((nxt, word + (x,)) for x, nxt in _product_edges(bq, node))
-    idx = bq.arrow_index
-    found.sort(key=lambda p: (len(p), tuple(idx[x] for x in p.arrows)))
+    level: list[tuple[_ProductNode, tuple[str, ...]]] = [((frm, 0), ())]
+    while level:
+        found += [Path(word) if word else Path((), to) for node, word in level if node[0] == to]
+        level = [(nxt, word + (x,)) for node, word in level for x, nxt in _product_edges(bq, node)]
     return found
 
 

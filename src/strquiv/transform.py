@@ -71,6 +71,7 @@ def r_transform(bq: BoundQuiver, index: RIndex) -> TransformResult:
     members = set(index.arrows)
     if len(members) < len(index.arrows):  # a hand-built RIndex is outside input
         raise DuplicateId(f"index repeats an arrow: {' '.join(index.arrows)}")
+    validate_index(bq, index.arrows)  # each arrow known and left forbidden
     if not members:  # splitting no arrow leaves the quiver as it is
         return TransformResult(bq, {}, {})
     taken = set(bq.vertices) | {a.id for a in bq.arrows}

@@ -130,26 +130,14 @@ def _walk_problems(bq: BoundQuiver, w: Walk, period: int) -> list[str]:
         arrows = [l.arrow for l in run]
         stop = start + len(arrows)
         word = tuple(reversed(arrows) if inv else arrows)  # the run read as a path
-        if word_in_ideal(bq, word):
+        if relation := word_in_ideal(bq, word):
             direction = "inverse" if inv else "forward"
             problems.append(
                 f"{direction} run at positions {start % period}..{(stop - 1) % period} "
-                "lies in the ideal: " + "".join(_first_relation(bq, word))
+                "lies in the ideal: " + "".join(relation)
             )
         start = stop
     return problems
-
-
-def _first_relation(bq: BoundQuiver, word: tuple[str, ...]) -> tuple[str, ...]:
-    """The relation that ends earliest in ``word``, a path in the ideal.  It
-    is unique: of two relations ending at one letter, one is a factor of the
-    other, and the relations are factor-minimal."""
-    state: int | None = 0
-    for end, x in enumerate(word, 1):
-        state = bq.automaton.step(state, x)
-        if state is None:
-            prefix = word[:end]
-            return next(r for r in bq.relations if prefix[-len(r) :] == r)
 
 
 def validate_string(bq: BoundQuiver, w: Walk) -> bool:

@@ -22,6 +22,7 @@ from strquiv import (
     is_finite_dimensional,
     parse_quiver,
 )
+from strquiv.core import FactorAutomaton
 
 
 def chain(n, relations=()):
@@ -208,6 +209,36 @@ def test_relation_pairs_decide_two_arrow_membership(seed):
             if member:
                 heads.add(a.id)
     assert bq.left_forbidden_arrows == heads
+
+
+def test_enumerate_paths_come_in_length_and_declaration_order(fig1, fig5):
+    quivers = [fig1, fig5]
+    for seed in range(200):
+        bq, _ = _random_bound_quiver(seed)
+        if is_finite_dimensional(bq):
+            quivers.append(bq)
+    assert len(quivers) >= 32
+    for bq in quivers:
+        idx = {a.id: i for i, a in enumerate(bq.arrows)}
+        total = 0
+        for s in bq.vertices:
+            for t in bq.vertices:
+                paths = enumerate_paths(bq, s, t)
+                assert paths == sorted(paths, key=lambda p: (len(p), [idx[x] for x in p.arrows]))
+                assert len(set(paths)) == len(paths)
+                total += len(paths)
+        assert total == algebra_dim(bq)
+
+
+def test_automaton_names_the_word_ending_earliest():
+    # ("b", "c") is a factor of the other word, so the set is not
+    # factor-minimal, and "abc" is accepted through a failure link
+    automaton = FactorAutomaton([("a", "b", "c", "d"), ("b", "c")])
+    for word in ("abc", "abcd", "xbc", "bcd"):
+        assert automaton.first_factor(tuple(word)) == ("b", "c"), word
+    for word in ("abx", "ab", "cb", ""):
+        assert automaton.first_factor(tuple(word)) is None, word
+    assert FactorAutomaton([("a", "b"), ("x", "a", "b", "c")]).first_factor("xabc") == ("a", "b")
 
 
 def test_dimension_counts_over_the_edges_the_search_stepped(monkeypatch):

@@ -168,6 +168,19 @@ class TestSplitQuiverNeedsNoBuild:
         with pytest.raises(DuplicateId):
             r_transform(fig5, RIndex(("a", "a")))
 
+    def test_hand_built_index_naming_an_unknown_arrow(self, fig5):
+        with pytest.raises(UnknownArrow):
+            r_transform(fig5, RIndex(("zz",)))
+
+    def test_hand_built_index_naming_an_arrow_that_is_not_left_forbidden(self):
+        chain = BoundQuiver.build(
+            ["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3")]
+        )
+        with pytest.raises(NotLeftForbidden):
+            r_transform(chain, RIndex(("a",)))
+        with pytest.raises(NotLeftForbidden):
+            verify_endo_dimension(chain, RIndex(("a",)))
+
 
 class TestLiftWalk:
     def test_reference_band(self, fig5):

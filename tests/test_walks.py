@@ -194,6 +194,59 @@ def test_band_problems_agrees_with_an_independent_oracle(fig1, fig5):
     assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
+def _connected_walks(bq, max_letters):
+    """Every connected walk of at most ``max_letters`` letters, trivial
+    walks, backtracks and runs in the ideal included."""
+    steps = {v: [] for v in bq.vertices}
+    for a in bq.arrows:
+        steps[a.source].append(Letter(a.id, False))
+        steps[a.target].append(Letter(a.id, True))
+    level = [(l,) for v in bq.vertices for l in steps[v]]
+    walks = [Walk((), v) for v in bq.vertices]
+    for _ in range(max_letters):
+        walks += [Walk(letters) for letters in level]
+        level = [w + (l,) for w in level for l in steps[letter_target(bq, w[-1])]]
+    return walks
+
+
+def _reference_problems(bq, w):
+    """:func:`string_problems` of a connected walk, naming each run in the
+    ideal by the relation that is a suffix of the run's shortest prefix in
+    the ideal, found by scanning the relation list."""
+    letters = w.letters
+    problems = [
+        f"backtrack at position {i}: letter followed by its inverse"
+        for i in range(len(letters) - 1)
+        if letters[i + 1] == letters[i].inverse()
+    ]
+    start = 0
+    for inv, run in itertools.groupby(letters, key=lambda l: l.inv):
+        arrows = [l.arrow for l in run]
+        word = tuple(reversed(arrows) if inv else arrows)
+        for end in range(1, len(word) + 1):
+            named = [r for r in bq.relations if word[:end][-len(r) :] == r]
+            if named:
+                assert len(named) == 1
+                direction = "inverse" if inv else "forward"
+                problems.append(
+                    f"{direction} run at positions {start}..{start + len(word) - 1} "
+                    "lies in the ideal: " + "".join(named[0])
+                )
+                break
+        start += len(word)
+    return problems
+
+
+def test_string_problems_name_the_relation_a_run_meets_first(fig1, fig5):
+    named = 0
+    for bq in [fig1, fig5] + [_random_string_pair(seed) for seed in range(30)]:
+        for w in _connected_walks(bq, 4):
+            expected = _reference_problems(bq, w)
+            assert string_problems(bq, w) == expected, w
+            named += sum("lies in the ideal" in p for p in expected)
+    assert named > 1000
+
+
 class TestCanonical:
     def test_string_inversion_fixed_point(self, fig5):
         w = parse_walk(fig5, B_TEXT)
