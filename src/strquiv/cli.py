@@ -32,7 +32,7 @@ from .forbidden import left_forbidden_arrows, perfect_index
 from .generate import RandomSagSpec, gen_random_sag
 from .strmod import arrow_module_string, hom_dim, projective_string
 from .transform import cma, r_transform, validate_index, verify_endo_dimension
-from .walks import CyclicWalk, enumerate_strings, find_band, representation_type
+from .walks import CyclicWalk, band_exists, enumerate_strings, find_band, representation_type
 
 
 def _load_quiver(path: str) -> BoundQuiver:
@@ -79,10 +79,11 @@ def _strings(bq, args):
 
 
 def _bands(bq, args):
+    if not (args.find or args.json):  # no witness is printed
+        return {}, ["band exists" if band_exists(bq) else "no band"]
     band = find_band(bq)
     text = None if band is None else format_walk(band)
-    line = "no band" if band is None else text if args.find else "band exists"
-    return {"exists": band is not None, "band": text}, [line]
+    return {"exists": band is not None, "band": text}, [text or "no band"]
 
 
 def _forbidden(bq, args):
@@ -143,6 +144,9 @@ def _verify(bq, args):
         raise ArgumentError(None, "--cap needs --all-indices, which excludes --R")
     if args.all_indices:
         left = _in_order(bq, left_forbidden_arrows(bq))
+        if args.cap is None and len(left) > _ALL_INDICES_UNCAPPED:
+            message = f"--all-indices on {len(left)} left forbidden arrows needs --cap"
+            raise ArgumentError(None, message)
         count = 1 << len(left) if args.cap is None else min(1 << len(left), args.cap)
         subsets = ([x for i, x in enumerate(left) if (mask >> i) & 1] for mask in range(count))
     else:
@@ -192,6 +196,8 @@ def _within(kind: type, least: float, most: float = math.inf):
 
 _OUT = ("--out", {"help": "write the transformed quiver to a file"})
 _DOT = ("--dot", {"help": "write DOT to a file"})
+# the most left forbidden arrows whose 2^k subsets verify --all-indices lists without --cap
+_ALL_INDICES_UNCAPPED = 16
 
 # verb -> (handler, help, arguments).  Every verb but gen also takes a quiver
 # file; a list of arguments is a required choice between them.  export-dot

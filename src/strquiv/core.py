@@ -150,26 +150,30 @@ class BoundQuiver:
             if a.id in seen:
                 raise DuplicateId(f"duplicate id {a.id!r}")
             seen.add(a.id)
-        vset = set(vs)
+        quiver = cls(vs, ars, tuple(dict.fromkeys(tuple(rel) for rel in relations)))
         for a in ars:
-            if a.source not in vset or a.target not in vset:
+            if a.source not in quiver.vertex_index or a.target not in quiver.vertex_index:
                 raise DanglingEndpoint(f"arrow {a.id!r}: undeclared endpoint")
-        by_id = {a.id: a for a in ars}
-        rels: list[tuple[str, ...]] = []
-        for rel in relations:
-            word = tuple(rel)
+        for word in quiver.relations:
             if len(word) < 2:
                 raise RelationTooShort(f"relation {' '.join(word)!r} has length < 2")
             for x in word:
-                if x not in by_id:
+                if x not in quiver.arrow_by_id:
                     raise DanglingEndpoint(f"relation uses unknown arrow {x!r}")
             for x, y in zip(word, word[1:]):
-                if by_id[x].target != by_id[y].source:
+                if quiver.arrow_by_id[x].target != quiver.arrow_by_id[y].source:
                     raise NonComposableRelation(
                         f"relation {' '.join(word)}: {x} and {y} do not compose"
                     )
-            rels.append(word)
-        return cls(vs, ars, _factor_minimal(rels))
+        # Drop each generator containing another as a contiguous factor.
+        # Every proper factor of a word lies in the word without its first or
+        # without its last letter; generators of one length contain none of
+        # each other, and then no automaton is built.
+        if len({len(r) for r in quiver.relations}) <= 1:
+            return quiver
+        find = quiver.automaton.first_factor
+        kept = tuple(r for r in quiver.relations if not (find(r[1:]) or find(r[:-1])))
+        return quiver if len(kept) == len(quiver.relations) else cls(vs, ars, kept)
 
     # -- derived indices (the instance is immutable, so caching is safe) --
 
@@ -245,8 +249,9 @@ class BoundQuiver:
     def _double(self) -> "BoundQuiver":
         """The double quiver: letter ``2*i`` runs along arrow ``i`` and
         ``2*i + 1`` against it, every forward letter declared before every
-        inverse one.  Its relations are the relations, their inverses and the
-        backtracks, so its relation-free paths are the nontrivial strings."""
+        inverse one, the order in which ``find_band`` breaks ties.  Its
+        relations are the relations, their inverses and the backtracks, so
+        its relation-free paths are the nontrivial strings."""
         idx = self.arrow_index
         letters = [Arrow(2 * i, a.source, a.target) for i, a in enumerate(self.arrows)]
         letters += [Arrow(2 * i + 1, a.target, a.source) for i, a in enumerate(self.arrows)]
@@ -267,21 +272,6 @@ class BoundQuiver:
         from .forbidden import _flagged_cycles  # forbidden imports this module
 
         return _flagged_cycles(self)
-
-
-def _factor_minimal(rels: list[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
-    """Drop duplicates and any generator containing another as a contiguous
-    factor, keeping first-occurrence order.  Every proper factor of a word
-    lies in the word without its first or without its last letter, so a
-    generator is dropped when either of those contains one.  Generators of a
-    single length contain none of each other, and no automaton is built."""
-    unique = dict.fromkeys(rels)
-    if len({len(r) for r in unique}) <= 1:
-        return tuple(unique)
-    automaton = FactorAutomaton(unique)
-    return tuple(
-        r for r in unique if not (automaton.first_factor(r[1:]) or automaton.first_factor(r[:-1]))
-    )
 
 
 def in_ideal(bq: BoundQuiver, p: Path) -> bool:

@@ -321,11 +321,13 @@ def band_exists(bq: BoundQuiver) -> bool:
 
 def find_band(bq: BoundQuiver) -> CyclicWalk | None:
     """A shortest-cycle band witness, or None when no band exists.  The
-    double quiver's cycle passes through a run start, so it caps the search."""
+    double quiver's cycle passes through a run start, so it caps the search.
+    It is primitive: were it w^m with first letter w₀, the suffix w·w₀ of
+    w^m·w₀ ends in the same one-letter state, so w closes a shorter cycle."""
     cycle = _band_cycle(bq)
     if cycle is None:
         return None
-    cw = CyclicWalk(_primitive_root(tuple(_find_product_cycle(bq, len(cycle)))))
+    cw = CyclicWalk(tuple(_find_product_cycle(bq, len(cycle))))
     problems = band_problems(bq, cw)
     assert not problems, f"detector produced an invalid band: {problems}"
     return canonical_band(bq, cw)

@@ -69,6 +69,18 @@ def test_bands_and_reptype(call):
     assert code == 0 and out.strip() == "infinite"
 
 
+def test_bands_text_needs_no_witness(call, monkeypatch, tmp_path):
+    band_free = tmp_path / "chain.quiver"
+    band_free.write_text("quiver\nvertices: 1 2 3\narrows:\n  a: 1 -> 2\n  b: 2 -> 3\n")
+
+    def no_search(bq):
+        raise AssertionError("find_band called")
+
+    monkeypatch.setattr("strquiv.cli.find_band", no_search)
+    for file, line in ((FIG1, "band exists"), (FIG5, "band exists"), (band_free, "no band")):
+        assert call("bands", str(file)) == (0, line + "\n", "")
+
+
 def test_forbidden_json(call):
     code, out, _ = call("forbidden", FIG5, "--json")
     data = json.loads(out)
@@ -432,6 +444,27 @@ def test_verify_flags_that_do_not_go_together_are_usage_errors(call, argv):
     code, out, err = call("verify", FIG5, *argv)
     assert code == 2 and out == ""
     assert err == "ArgumentError --cap needs --all-indices, which excludes --R\n"
+
+
+def test_verify_all_indices_on_many_arrows_needs_a_cap(call, tmp_path):
+    # A_19 with every two consecutive arrows a relation: 17 left forbidden arrows
+    arrows = "".join(f"  a{i}: {i} -> {i + 1}\n" for i in range(1, 19))
+    relations = "".join(f"  a{i} a{i + 1}\n" for i in range(1, 18))
+    file = tmp_path / "chain.quiver"
+    file.write_text(f"quiver\nvertices: {' '.join(map(str, range(1, 20)))}\n"
+                    f"arrows:\n{arrows}relations:\n{relations}")
+    code, out, err = call("verify", str(file), "--all-indices")
+    assert (code, out) == (2, "")
+    assert err == "ArgumentError --all-indices on 17 left forbidden arrows needs --cap\n"
+    code, out, _ = call("verify", str(file), "--all-indices", "--cap", "2")
+    assert code == 0 and out.splitlines() == [
+        "R={}: endo=37 transformed=37 ok", "R={a1}: endo=40 transformed=40 ok"
+    ]
+
+
+def test_verify_all_indices_lists_every_subset_of_few_arrows(call):
+    code, out, _ = call("verify", FIG5, "--all-indices", "--json")
+    assert len(json.loads(out)["reports"]) == 1 << 12
 
 
 def test_verify_without_index_flags_checks_the_empty_index(call):

@@ -62,6 +62,56 @@ class TestBuild:
         bq = chain(4, [("a2", "a3"), ("a1", "a2", "a3")])
         assert bq.relations == (("a2", "a3"),)
 
+    @pytest.mark.parametrize(
+        ("vertices", "arrows", "relations", "error", "message"),
+        [
+            (["1", "1"], [Arrow("a", "1", "9")], [("zz",)], DuplicateId,
+             "duplicate vertex id '1'"),
+            (["1"], [Arrow("1", "1", "9")], [("zz",)], DuplicateId, "duplicate id '1'"),
+            (["1"], [Arrow("a", "1", "9")], [("zz",)], DanglingEndpoint,
+             "arrow 'a': undeclared endpoint"),
+            (["1", "2"], [Arrow("a", "1", "2")], [("a", "b"), ("a",)], DanglingEndpoint,
+             "relation uses unknown arrow 'b'"),
+            (["1", "2"], [Arrow("a", "1", "2")], [("a",), ("a", "b")], RelationTooShort,
+             "relation 'a' has length < 2"),
+        ],
+        ids=["vertex-before-endpoint", "arrow-before-endpoint", "endpoint-before-relation",
+             "first-relation-first", "short-relation-first"],
+    )
+    def test_errors_come_in_input_order(self, vertices, arrows, relations, error, message):
+        with pytest.raises(error) as err:
+            BoundQuiver.build(vertices, arrows, relations)
+        assert str(err.value) == message
+
+
+def _count_automata(monkeypatch):
+    built = []
+    init = FactorAutomaton.__init__
+
+    def counted(self, words):
+        built.append(self)
+        init(self, words)
+
+    monkeypatch.setattr(FactorAutomaton, "__init__", counted)
+    return built
+
+
+def test_build_keeps_the_automaton_it_normalizes_with(monkeypatch):
+    built = _count_automata(monkeypatch)
+    # relations of lengths 2 and 3, neither a factor of the other
+    bq = chain(5, [("a1", "a2"), ("a2", "a3", "a4")])
+    assert bq.relations == (("a1", "a2"), ("a2", "a3", "a4"))
+    assert {"automaton", "vertex_index", "arrow_by_id"} <= set(vars(bq))
+    assert algebra_dim(bq) == 11  # 15 paths, 4 through a relation
+    assert len(built) == 1 and bq.automaton is built[0]
+
+
+def test_build_of_one_relation_length_makes_no_automaton(monkeypatch):
+    built = _count_automata(monkeypatch)
+    bq = chain(5, [("a1", "a2"), ("a3", "a4"), ("a1", "a2")])
+    assert bq.relations == (("a1", "a2"), ("a3", "a4"))
+    assert "automaton" not in vars(bq) and not built
+
 
 class TestIdeal:
     def test_membership_is_factor_containment(self, fig1):

@@ -695,6 +695,17 @@ def test_capped_band_search_matches_uncapped_reference(fig1, fig5):
     assert with_band > 100
 
 
+def test_shortest_product_cycle_is_primitive(fig1, fig5):
+    with_band = 0
+    for bq in [fig1, fig5, *_band_quivers()]:
+        cycle = _band_cycle(bq)
+        if cycle is not None:
+            with_band += 1
+            letters = tuple(_find_product_cycle(bq, len(cycle)))
+            assert _primitive_root(letters) == letters
+    assert with_band > 100
+
+
 def _rebuilt(w):
     return BoundQuiver.build(w.vertices, w.arrows, w.relations)
 
