@@ -366,12 +366,20 @@ def enumerate_paths(bq: BoundQuiver, frm: str, to: str) -> list[Path]:
     return found
 
 
+def _paths_into(bq: BoundQuiver, starts: Iterable[_ProductNode]) -> dict[_ProductNode, int]:
+    """For each product node, the number of relation-free paths that start at
+    a node in ``starts``, counted with repeats, and end there.  Reverse
+    post-order is topological, and the search stepped every node."""
+    require_finite(bq)
+    into = dict.fromkeys(bq._product_dfs[1], 0)
+    for node in starts:
+        into[node] += 1
+    for node in reversed(into):
+        for _, nxt in bq._product_table[node]:
+            into[nxt] += into[node]
+    return into
+
+
 def algebra_dim(bq: BoundQuiver) -> int:
     """Number of relation-free paths, trivial paths included."""
-    require_finite(bq)
-    # paths starting at each product node, summed over its successors,
-    # which post-order has already counted; the search stepped every node
-    count: dict[_ProductNode, int] = {}
-    for node in bq._product_dfs[1]:
-        count[node] = 1 + sum(count[nxt] for _, nxt in bq._product_table[node])
-    return sum(count[(v, 0)] for v in bq.vertices)
+    return sum(_paths_into(bq, [(v, 0) for v in bq.vertices]).values())

@@ -103,13 +103,11 @@ def image_substrings(w: Walk) -> list[SubstringOccurrence]:
     return _substrings(w, "image")
 
 
-def _vertex_at(bq: BoundQuiver, w: Walk, pos: int) -> str:
-    return w.source(bq) if pos == 0 else letter_target(bq, w.letters[pos - 1])
-
-
 def _occ_key(bq: BoundQuiver, w: Walk, occ: SubstringOccurrence) -> str | tuple[Letter, ...]:
     """A trivial occurrence matches by its vertex, a nontrivial one by its letters."""
-    return _vertex_at(bq, w, occ.start) if occ.is_trivial else w.letters[occ.start : occ.end + 1]
+    if not occ.is_trivial:
+        return w.letters[occ.start : occ.end + 1]
+    return w.source(bq) if occ.start == 0 else letter_target(bq, w.letters[occ.start - 1])
 
 
 def _factor_table(bq: BoundQuiver, w: Walk) -> Counter:
@@ -145,21 +143,3 @@ def hom_dim(bq: BoundQuiver, s2: Walk, s1: Walk) -> int:
             raise InvalidWalk("; ".join(problems))
     return _pair_count(_factor_table(bq, s2), _image_table(bq, s1))
 
-
-def _arrow_module_homs(bq: BoundQuiver, arrows: tuple[str, ...], summands: list[Walk]) -> int:
-    """Σ hom(αA, M(Y)) over the ``arrows`` α and the strings Y in
-    ``summands``.  In a SAG algebra αA ≅ e_t A / Σ βA, t = t(α), over the
-    relations αβ, so by the Yoneda lemma hom(αA, M(Y)) counts the vertices
-    of Y at t on which no such β acts; β acts at vertex i if letter i is β
-    or letter i - 1 is β⁻¹."""
-    after = bq._relation_partners[0]
-    kernels: dict[str, list[list[str]]] = {}
-    for alpha in arrows:
-        kernels.setdefault(bq.arrow_by_id[alpha].target, []).append(after.get(alpha, []))
-    total = 0
-    for y in summands:
-        letters, n = y.letters, len(y.letters)
-        for i in range(n + 1):
-            acting = {letters[j].arrow for j in (i - 1, i) if 0 <= j < n and letters[j].inv == (j < i)}
-            total += sum(acting.isdisjoint(k) for k in kernels.get(_vertex_at(bq, y, i), ()))
-    return total

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Arrow, BoundQuiver, algebra_dim, require_finite
+from .core import Arrow, BoundQuiver, _paths_into, _product_edges, algebra_dim, require_finite
 from .errors import DuplicateId, InvalidWalk, NotLeftForbidden, NotSAG, UnknownArrow
 from .forbidden import perfect_index
-from .strmod import _arrow_module_homs, arrow_module_string, projective_string
 from .walks import CyclicWalk, Letter, Walk
 
 
@@ -143,15 +142,25 @@ def cma(bq: BoundQuiver) -> TransformResult:
 
 def verify_endo_dimension(bq: BoundQuiver, index: RIndex) -> TransformedAlgebraReport:
     """Compare dim End(A ⊕ N), N = ⊕ αA over α in R, with the path-count
-    dimension of the transformed algebra.  By the Yoneda lemma Hom(e_v A, Y)
-    ≅ Y e_v, so A_A contributes Σ_Y dim Y = dim A + dim N over the summands
-    Y, and only the arrow modules αA need hom counts.  At R = ∅ both sides
-    are dim A."""
+    dimension of the transformed algebra.  The paths from each summand's top,
+    (v, 0) for e_v A and the node after β for βA, are a basis of A ⊕ N.  By
+    the Yoneda lemma each counts once in Hom(A, A ⊕ N); as αA ≅ e_t A / Σ γA
+    over the relations αγ and A is monomial, it counts once more for each α
+    in R ending at its vertex whose every γ kills it.  So the count is
+    pairwise additive in R: the paths into a node add over the tops, and the
+    terms 1 + #{α} over R.  At R = ∅ both sides are dim A."""
     _require_sag_finite(bq)
-    modules = [arrow_module_string(bq, alpha) for alpha in index.arrows]
-    dim_source_endo = algebra_dim(bq) + sum(len(m) + 1 for m in modules)
-    if modules:
-        summands = [projective_string(bq, v) for v in bq.vertices] + modules
-        dim_source_endo += _arrow_module_homs(bq, index.arrows, summands)
-    result = r_transform(bq, index)
+    result = r_transform(bq, index)  # checks a hand-built index first
+    tops = [(v, 0) for v in bq.vertices]
+    kernels: dict[str, list[list[str]]] = {}
+    for beta in index.arrows:
+        a = bq.arrow_by_id[beta]
+        tops += [node for x, node in _product_edges(bq, (a.source, 0)) if x == beta]
+        kernels.setdefault(a.target, []).append(bq._relation_partners[0][beta])
+    into = _paths_into(bq, tops)
+    dim_source_endo = sum(into.values())
+    for node, k in into.items():
+        for killers in kernels.get(node[0], ()):
+            if all(x not in killers for x, _ in bq._product_table[node]):
+                dim_source_endo += k
     return TransformedAlgebraReport(result, dim_source_endo, algebra_dim(result.quiver))

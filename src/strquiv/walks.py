@@ -108,9 +108,7 @@ def string_problems(bq: BoundQuiver, w: Walk) -> list[str]:
 
 def _walk_problems(bq: BoundQuiver, w: Walk, period: int) -> list[str]:
     """:func:`string_problems` of ``w``, with each position taken mod ``period``."""
-    for l in w.letters:
-        if l.arrow not in bq.arrow_by_id:
-            raise UnknownArrow(f"unknown arrow {l.arrow!r}")
+    _require_known_arrows(bq, w.letters)
     problems: list[str] = []
     if w.is_trivial:
         if w.anchor not in bq.vertex_index:
@@ -138,6 +136,12 @@ def _walk_problems(bq: BoundQuiver, w: Walk, period: int) -> list[str]:
             )
         start = stop
     return problems
+
+
+def _require_known_arrows(bq: BoundQuiver, letters: tuple[Letter, ...]) -> None:
+    for l in letters:
+        if l.arrow not in bq.arrow_by_id:
+            raise UnknownArrow(f"unknown arrow {l.arrow!r}")
 
 
 def validate_string(bq: BoundQuiver, w: Walk) -> bool:
@@ -174,16 +178,14 @@ def _walk_key(bq: BoundQuiver, letters: tuple[Letter, ...]) -> tuple[tuple[int, 
 
 def canonical_string(bq: BoundQuiver, w: Walk) -> Walk:
     """Representative of the inversion class: lexicographic minimum of w, w^-1."""
-    if w.is_trivial:
-        return w
-    inv = w.inverse()
-    if _walk_key(bq, inv.letters) < _walk_key(bq, w.letters):
-        return inv
-    return w
+    _require_known_arrows(bq, w.letters)
+    inv = w.inverse()  # a trivial walk is its own inverse
+    return inv if _walk_key(bq, inv.letters) < _walk_key(bq, w.letters) else w
 
 
 def canonical_band(bq: BoundQuiver, cw: CyclicWalk) -> CyclicWalk:
     """Minimum over all rotations of both orientations."""
+    _require_known_arrows(bq, cw.letters)
     return min(
         (orient.rotate(t) for orient in (cw, cw.inverse()) for t in range(len(cw))),
         key=lambda rot: _walk_key(bq, rot.letters),

@@ -19,7 +19,7 @@ from strquiv import (
     validate_index,
     verify_endo_dimension,
 )
-from strquiv.strmod import _arrow_module_homs, arrow_module_string, projective_string
+from strquiv.core import _paths_into, _product_edges
 
 
 def _arrows(bq):
@@ -99,16 +99,27 @@ def test_endo_split_matches_oracle_on_generated(seed):
 @pytest.mark.parametrize("name", ["fig5", 1, 2, 3, 4, 5])
 def test_each_arrow_module_hom_matches_oracle(name, request):
     """Each (α, Y) term of the split: hom(αA, Y) for each left-forbidden α
-    and each summand string Y."""
+    and each summand Y, counted as the paths from Y's top that end at t(α)
+    on a product node with no edge γ out of it, αγ a relation."""
     bq = request.getfixturevalue(name) if isinstance(name, str) else _generated(name)
     arrows = _arrows(bq)
-    summands = [projective_string(bq, v) for v in bq.vertices]
-    summands += [arrow_module_string(bq, a.id) for a in bq.arrows]
+    tops = {v: (v, 0) for v in bq.vertices}
+    reps = {v: O.path_module(arrows, bq.relations, v) for v in bq.vertices}
+    for a in bq.arrows:
+        tops[a.id] = next(node for x, node in _product_edges(bq, (a.source, 0)) if x == a.id)
+        reps[a.id] = O.path_module(arrows, bq.relations, a.target, (a.id,))
+    after = bq._relation_partners[0]
     for alpha in sorted(left_forbidden_arrows(bq), key=lambda x: bq.arrow_index[x]):
-        module = O.path_module(arrows, bq.relations, bq.arrow_by_id[alpha].target, (alpha,))
-        for y in summands:
-            expected = O.hom_dim(arrows, module, _string_module(bq, y))
-            assert _arrow_module_homs(bq, (alpha,), [y]) == expected, (alpha, format_walk(y))
+        target = bq.arrow_by_id[alpha].target
+        kernel = [
+            node
+            for node in bq._product_dfs[1]
+            if node[0] == target and all(x not in after[alpha] for x, _ in _product_edges(bq, node))
+        ]
+        for y, top in tops.items():
+            into = _paths_into(bq, [top])
+            term = sum(into[node] for node in kernel)
+            assert term == O.hom_dim(arrows, reps[alpha], reps[y]), (alpha, y)
 
 
 def test_readme_witnesses_from_the_oracle(fig5):

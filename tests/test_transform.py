@@ -172,6 +172,14 @@ class TestSplitQuiverNeedsNoBuild:
         with pytest.raises(UnknownArrow):
             r_transform(fig5, RIndex(("zz",)))
 
+    def test_verify_at_a_hand_built_index_naming_an_unknown_arrow(self, fig5):
+        with pytest.raises(UnknownArrow):
+            verify_endo_dimension(fig5, RIndex(("zz",)))
+
+    def test_verify_at_a_hand_built_index_repeating_an_arrow(self, fig5):
+        with pytest.raises(DuplicateId):
+            verify_endo_dimension(fig5, RIndex(("a", "a")))
+
     def test_hand_built_index_naming_an_arrow_that_is_not_left_forbidden(self):
         chain = BoundQuiver.build(
             ["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3")]

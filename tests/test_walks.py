@@ -262,6 +262,14 @@ class TestCanonical:
             assert canonical_band(fig5, band_B.rotate(t)) == expected
             assert canonical_band(fig5, band_B.inverse().rotate(t)) == expected
 
+    def test_string_with_an_unknown_arrow(self, fig5):
+        with pytest.raises(UnknownArrow):
+            canonical_string(fig5, Walk((Letter("zz", False),)))
+
+    def test_band_with_an_unknown_arrow(self, fig5):
+        with pytest.raises(UnknownArrow):
+            canonical_band(fig5, CyclicWalk((Letter("a", False), Letter("zz", True))))
+
 
 def brute_force_string_count(bq, max_letters):
     """Independent oracle: filter all letter sequences by the validator."""
