@@ -7,18 +7,17 @@ length-two requirement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import BoundQuiver
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     is_string: bool
     is_almost_gentle: bool
     is_sag: bool
     is_gentle: bool
-    violations: tuple[tuple[str, object], ...] = field(default_factory=tuple)
+    violations: tuple[tuple[str, object], ...] = ()
 
 
 def check_s1(bq: BoundQuiver) -> list[str]:

@@ -4,11 +4,12 @@ the loaded quiver into a JSON payload and lines of text.
 Exit codes: 0 success, 1 domain errors (reported to stderr as
 ``<ErrorTag> <message>``) and a failed ``verify``, 2 usage, parse and file
 errors.
+
+Each handler imports the modules it needs, so a command loads only those.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -28,11 +29,6 @@ from .dsl import (
     quiver_to_json,
 )
 from .errors import ParseError, QuiverError
-from .forbidden import left_forbidden_arrows, perfect_index
-from .generate import RandomSagSpec, gen_random_sag
-from .strmod import arrow_module_string, hom_dim, projective_string
-from .transform import cma, r_transform, validate_index, verify_endo_dimension
-from .walks import CyclicWalk, band_exists, enumerate_strings, find_band, representation_type
 
 
 def _load_quiver(path: str) -> BoundQuiver:
@@ -74,11 +70,15 @@ def _classify(bq, args):
 
 
 def _strings(bq, args):
+    from .walks import enumerate_strings
+
     out = [format_walk(w) for w in enumerate_strings(bq, args.max_letters)]
     return {"count": len(out), "strings": out}, out
 
 
 def _bands(bq, args):
+    from .walks import band_exists, find_band
+
     if not (args.find or args.json):  # no witness is printed
         return {}, ["band exists" if band_exists(bq) else "no band"]
     band = find_band(bq)
@@ -86,7 +86,15 @@ def _bands(bq, args):
     return {"exists": band is not None, "band": text}, [text or "no band"]
 
 
+def _reptype(bq, args):
+    from .walks import representation_type
+
+    return _single("representation_type", representation_type(bq))
+
+
 def _forbidden(bq, args):
+    from .forbidden import left_forbidden_arrows, perfect_index
+
     left = _in_order(bq, left_forbidden_arrows(bq))
     cycles = [(c.arrows, flag) for c, flag in bq._flagged_cycles]
     index = _in_order(bq, perfect_index(bq).arrows)
@@ -105,6 +113,8 @@ def _transformed(tr, args, payload: dict):
     """Write ``--out``/``--dot`` and report the transformed quiver."""
     q = tr.quiver
     if args.out:
+        import json
+
         json_out = args.out.endswith(".json")
         text = json.dumps(quiver_to_json(q), indent=2) + "\n" if json_out else format_quiver(q)
         FilePath(args.out).write_text(text)
@@ -117,15 +127,23 @@ def _transformed(tr, args, payload: dict):
 
 
 def _transform(bq, args):
+    from .transform import r_transform, validate_index
+
     return _transformed(r_transform(bq, validate_index(bq, _split_index(args.R))), args, {})
 
 
 def _cma(bq, args):
+    from .forbidden import perfect_index
+    from .transform import cma
+
     tr = cma(bq)
     return _transformed(tr, args, {"perfect_index": _in_order(bq, perfect_index(bq).arrows)})
 
 
 def _homdim(bq, args):
+    from .strmod import hom_dim
+    from .walks import CyclicWalk
+
     s2 = parse_walk(bq, getattr(args, "from"))
     s1 = parse_walk(bq, args.to)
     if isinstance(s2, CyclicWalk) or isinstance(s1, CyclicWalk):
@@ -134,12 +152,17 @@ def _homdim(bq, args):
 
 
 def _module_string(bq, args):
+    from .strmod import arrow_module_string, projective_string
+
     if args.projective is not None:
         return _single("walk", format_walk(projective_string(bq, args.projective)))
     return _single("walk", format_walk(arrow_module_string(bq, args.arrow)))
 
 
 def _verify(bq, args):
+    from .forbidden import left_forbidden_arrows
+    from .transform import validate_index, verify_endo_dimension
+
     if args.R is not None and args.all_indices or args.cap is not None and not args.all_indices:
         raise ArgumentError(None, "--cap needs --all-indices, which excludes --R")
     if args.all_indices:
@@ -170,6 +193,8 @@ def _verify(bq, args):
 
 
 def _gen(bq, args):
+    from .generate import RandomSagSpec, gen_random_sag
+
     spec = RandomSagSpec(
         seed=args.seed,
         num_vertices=args.vertices,
@@ -209,8 +234,7 @@ _VERBS = {
                 [("--max-letters", {"type": _within(int, 0), "required": True})]),
     "bands": (_bands, "decide band existence",
               [("--find", {"action": "store_true", "help": "print a witness band"})]),
-    "reptype": (lambda bq, args: _single("representation_type", representation_type(bq)),
-                "decide representation type", []),
+    "reptype": (_reptype, "decide representation type", []),
     "forbidden": (_forbidden, "forbidden arrows, cycles, perfect index", []),
     "transform": (_transform, "arrow-splitting transform at an index R",
                   [("--R", {"required": True, "help": "comma-separated arrow ids"}), _OUT, _DOT]),
@@ -268,6 +292,8 @@ def run(argv: list[str]) -> int:
         bq = _load_quiver(args.file) if "file" in args else None
         payload, lines = _VERBS[args.verb][0](bq, args)
         if args.json and payload is not None:
+            import json
+
             lines = [json.dumps(payload)]
         for line in lines:
             print(line)

@@ -10,9 +10,8 @@ relation set, so relations of any length >= 2 are handled uniformly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import (
     DanglingEndpoint,
@@ -38,23 +37,54 @@ def is_token(s: str) -> bool:
     return bool(TOKEN_RE.match(s))
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     id: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class Path:
+class Frozen:
+    """An immutable value with the fields named in ``_fields``, which its
+    constructor takes in that order and sets with ``object.__setattr__``.
+    Values are equal within one class when their fields are, and print as
+    ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Path(Frozen):
     """A composable sequence of arrow ids; trivial paths carry an anchor vertex."""
 
-    arrows: tuple[str, ...] = ()
-    anchor: str | None = None
+    __slots__ = _fields = ("arrows", "anchor")
 
-    def __post_init__(self) -> None:
-        if not self.arrows and self.anchor is None:
+    def __init__(self, arrows: tuple[str, ...] = (), anchor: str | None = None):
+        if not arrows and anchor is None:
             raise InvalidPath("trivial path needs an anchor vertex")
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "anchor", anchor)
 
     @property
     def is_trivial(self) -> bool:
@@ -117,20 +147,26 @@ class FactorAutomaton:
         return None
 
 
-@dataclass(frozen=True)
-class BoundQuiver:
+class BoundQuiver(Frozen):
     """An immutable pair (quiver, monomial relation set).
 
     Outside input (the DSL, JSON, library callers) goes through
     :meth:`build`, which validates ids and endpoints and normalizes the
     relation set to factor-minimal generators.  Quivers derived from a built
     one (the double quiver, the split quiver, the generator's) use the plain
-    constructor; tests check that :meth:`build` leaves them unchanged.
+    constructor; tests check that :meth:`build` leaves them unchanged.  The
+    instance ``__dict__`` holds the fields and the cached properties.
     """
 
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
-    relations: tuple[tuple[str, ...], ...]
+    _fields = ("vertices", "arrows", "relations")
+
+    def __init__(
+        self,
+        vertices: tuple[str, ...],
+        arrows: tuple[Arrow, ...],
+        relations: tuple[tuple[str, ...], ...],
+    ):
+        vars(self).update(vertices=vertices, arrows=arrows, relations=relations)
 
     @classmethod
     def build(

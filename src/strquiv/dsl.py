@@ -17,12 +17,14 @@ walks are wrapped as ``cycle( ... )``.
 
 from __future__ import annotations
 
-import json
 import re
+from typing import TYPE_CHECKING
 
 from .core import Arrow, BoundQuiver, is_token
 from .errors import ParseError, UnknownArrow, UnknownVertex
-from .walks import CyclicWalk, Letter, Walk
+
+if TYPE_CHECKING:
+    from .walks import CyclicWalk, Walk
 
 
 def parse_quiver(text: str) -> BoundQuiver:
@@ -110,6 +112,8 @@ def quiver_to_json(bq: BoundQuiver) -> dict:
 
 
 def quiver_from_json(data: dict | str) -> BoundQuiver:
+    import json
+
     try:
         if isinstance(data, str):
             data = json.loads(data)
@@ -135,6 +139,8 @@ def quiver_from_json(data: dict | str) -> BoundQuiver:
 
 
 def parse_walk(bq: BoundQuiver, text: str) -> Walk | CyclicWalk:
+    from .walks import CyclicWalk, Letter, Walk
+
     text = text.strip()
     cyclic = False
     if text.startswith("cycle(") and text.endswith(")"):
@@ -189,6 +195,8 @@ def quiver_to_dot(bq: BoundQuiver) -> str:
 
 
 def format_walk(w: Walk | CyclicWalk) -> str:
+    from .walks import CyclicWalk, Walk
+
     if isinstance(w, Walk) and w.is_trivial:
         return f"e({w.anchor})"
     body = " ".join(f"{l.arrow}^-1" if l.inv else l.arrow for l in w.letters)

@@ -10,22 +10,20 @@ arrows of all perfect forbidden cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import BoundQuiver
 from .errors import NotForbiddenCycle
 
 
-@dataclass(frozen=True)
-class ForbiddenCycle:
+class ForbiddenCycle(NamedTuple):
     arrows: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.arrows)
 
 
-@dataclass(frozen=True)
-class PerfectIndex:
+class PerfectIndex(NamedTuple):
     arrows: frozenset[str]
     cycles: tuple[ForbiddenCycle, ...]
 

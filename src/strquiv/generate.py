@@ -15,14 +15,13 @@ from __future__ import annotations
 import random
 import string as _string
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Arrow, BoundQuiver
 from .errors import GenerationExhausted
 
 
-@dataclass(frozen=True)
-class RandomSagSpec:
+class RandomSagSpec(NamedTuple):
     seed: int
     num_vertices: int = 5
     num_arrows: int = 7

@@ -12,7 +12,7 @@ occurrences keyed by their letters.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import BoundQuiver, _product_edges, require_finite
 from .errors import InvalidWalk, UnknownArrow, UnknownVertex
@@ -70,8 +70,7 @@ def arrow_module_string(bq: BoundQuiver, alpha: str) -> Walk:
     return Walk(tuple(Letter(x, False) for x in arrows))
 
 
-@dataclass(frozen=True, order=True)
-class SubstringOccurrence:
+class SubstringOccurrence(NamedTuple):
     """Letters ``start..end`` inclusive; ``start == end + 1`` is the trivial
     occurrence anchored at vertex position ``start`` (0..len(walk))."""
 

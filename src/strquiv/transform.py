@@ -9,28 +9,27 @@ index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import Arrow, BoundQuiver, _paths_into, _product_edges, algebra_dim, require_finite
 from .errors import DuplicateId, InvalidWalk, NotLeftForbidden, NotSAG, UnknownArrow
 from .forbidden import perfect_index
-from .walks import CyclicWalk, Letter, Walk
+
+if TYPE_CHECKING:
+    from .walks import CyclicWalk, Walk
 
 
-@dataclass(frozen=True)
-class RIndex:
+class RIndex(NamedTuple):
     arrows: tuple[str, ...]  # sorted by declaration order
 
 
-@dataclass(frozen=True)
-class TransformResult:
+class TransformResult(NamedTuple):
     quiver: BoundQuiver
     vertex_map: dict[str, str]  # alpha -> new vertex id
     arrow_map: dict[str, tuple[str, str]]  # alpha -> (alpha_L, alpha_R)
 
 
-@dataclass(frozen=True)
-class TransformedAlgebraReport:
+class TransformedAlgebraReport(NamedTuple):
     result: TransformResult
     dim_source_endo: int
     dim_transformed: int
@@ -110,6 +109,8 @@ def lift_walk(tr: TransformResult, w: Walk | CyclicWalk) -> Walk | CyclicWalk:
     α_L·α_R, and each inverse letter the inverse of its image.  The split
     arrows α_L, α_R and vertices v_α are not in the source quiver, so a walk
     naming one is rejected."""
+    from .walks import Letter, Walk
+
     if isinstance(w, Walk) and w.is_trivial:
         if w.anchor not in tr.quiver.vertex_index:
             raise InvalidWalk(f"anchor {w.anchor!r} not in transformed quiver")
@@ -163,4 +164,6 @@ def verify_endo_dimension(bq: BoundQuiver, index: RIndex) -> TransformedAlgebraR
         for killers in kernels.get(node[0], ()):
             if all(x not in killers for x, _ in bq._product_table[node]):
                 dim_source_endo += k
-    return TransformedAlgebraReport(result, dim_source_endo, algebra_dim(result.quiver))
+    # split at no arrow, bq is its own transform and its paths were just counted
+    dim_transformed = dim_source_endo if result.quiver is bq else algebra_dim(result.quiver)
+    return TransformedAlgebraReport(result, dim_source_endo, dim_transformed)

@@ -15,11 +15,10 @@ cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple
 
-from .core import BoundQuiver, _product_edges, require_finite, word_in_ideal
+from .core import BoundQuiver, Frozen, _product_edges, require_finite, word_in_ideal
 from .errors import NotStringPair, UnknownArrow
 
 
@@ -41,14 +40,14 @@ def letter_target(bq: BoundQuiver, letter: Letter) -> str:
     return a.source if letter.inv else a.target
 
 
-@dataclass(frozen=True)
-class Walk:
-    letters: tuple[Letter, ...]
-    anchor: str | None = None
+class Walk(Frozen):
+    __slots__ = _fields = ("letters", "anchor")
 
-    def __post_init__(self) -> None:
-        if not self.letters and self.anchor is None:
+    def __init__(self, letters: tuple[Letter, ...], anchor: str | None = None):
+        if not letters and anchor is None:
             raise ValueError("trivial walk requires an anchor vertex")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "anchor", anchor)
 
     @property
     def is_trivial(self) -> bool:
@@ -75,13 +74,13 @@ class Walk:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class CyclicWalk:
-    letters: tuple[Letter, ...]
+class CyclicWalk(Frozen):
+    __slots__ = _fields = ("letters",)
 
-    def __post_init__(self) -> None:
-        if not self.letters:
+    def __init__(self, letters: tuple[Letter, ...]):
+        if not letters:
             raise ValueError("cyclic walk must be nonempty")
+        object.__setattr__(self, "letters", letters)
 
     def inverse(self) -> "CyclicWalk":
         return CyclicWalk(tuple(l.inverse() for l in reversed(self.letters)))

@@ -76,7 +76,8 @@ def test_bands_text_needs_no_witness(call, monkeypatch, tmp_path):
     def no_search(bq):
         raise AssertionError("find_band called")
 
-    monkeypatch.setattr("strquiv.cli.find_band", no_search)
+    # the handler imports find_band when it runs
+    monkeypatch.setattr("strquiv.walks.find_band", no_search)
     for file, line in ((FIG1, "band exists"), (FIG5, "band exists"), (band_free, "no band")):
         assert call("bands", str(file)) == (0, line + "\n", "")
 

@@ -370,6 +370,28 @@ def test_product_graph_is_searched_once_per_quiver(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_counts_the_source_paths_once_at_the_empty_index(monkeypatch):
+    """At R = ∅ the split quiver is the quiver itself, whose paths the left
+    side has just counted; at {a} the split quiver is counted as well."""
+    calls = []
+    for name in ("strquiv.core", "strquiv.transform"):
+        module = importlib.import_module(name)
+
+        def counted(*args, original=module._paths_into):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "_paths_into", counted)
+    for arrows, count in (([], 1), (["a"], 2)):
+        calls.clear()
+        bq = _fresh_fig5()
+        report = verify_endo_dimension(bq, validate_index(bq, arrows))
+        assert len(calls) == count
+        assert report.dimensions_match
+        if not arrows:
+            assert report.dim_transformed == algebra_dim(bq) == 27
+
+
 def test_split_at_no_arrow_is_the_quiver_itself(fig1, fig5):
     for bq in (fig1, fig5):
         result = r_transform(bq, validate_index(bq, []))
