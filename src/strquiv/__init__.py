@@ -9,8 +9,6 @@ Each name below is imported from its module on first use, so that
 ``import strquiv`` loads only the data model.
 """
 
-from importlib import import_module
-
 # ``classify`` shares its module's name: importing ``strquiv.classify``
 # binds the module here unless the function is bound first.
 from .classify import classify
@@ -44,7 +42,9 @@ __all__ = sorted(_HOME)
 def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    # __import__, unlike importlib.import_module, shows in ``-X importtime``
+    module = __import__(f"{__name__}.{_HOME[name]}", fromlist=[name])
+    value = globals()[name] = getattr(module, name)
     return value
 
 

@@ -44,10 +44,11 @@ class Arrow(NamedTuple):
 
 
 class Frozen:
-    """An immutable value with the fields named in ``_fields``, which its
-    constructor takes in that order and sets with ``object.__setattr__``.
-    Values are equal within one class when their fields are, and print as
-    ``Name(field=value, ...)``."""
+    """An immutable value with the fields named in ``_fields``: its
+    constructor takes them in that order and sets each once, bypassing
+    ``__setattr__``.  Values are equal within one class when their fields
+    are, print as ``Name(field=value, ...)``, and copy and pickle through
+    the constructor."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

@@ -65,12 +65,13 @@ def test_verify_adds_only_transform_and_forbidden():
 def test_every_exported_name_resolves_and_star_import_binds_it():
     found = _fresh("""
         import strquiv
+        listed = set(strquiv.__all__) <= set(dir(strquiv))  # before any is resolved
         names = {n: type(getattr(strquiv, n)).__name__ for n in strquiv.__all__}
         star = {}
         exec("from strquiv import *", star)
         home = {n: getattr(strquiv, n).__module__ for n in strquiv.__all__}
         print(json.dumps([names, sorted(set(strquiv.__all__) - set(star)), star["classify"].__name__,
-                          home, len(strquiv.__all__), "classify" in dir(strquiv)]))
+                          home, len(strquiv.__all__), listed]))
         """)
     names, unbound, classify_name, home, count, listed = found
     assert count == 69 and unbound == [] and listed

@@ -37,6 +37,11 @@ def _fig5():
     return parse_quiver((FIXTURES / "fig5.quiver").read_text())
 
 
+def _report():
+    bq = _fig5()
+    return verify_endo_dimension(bq, validate_index(bq, ["a"]))
+
+
 def _values():
     """For each class, a function that makes a fresh value of it."""
     letters = (Letter("a", False), Letter("b", True))
@@ -56,9 +61,7 @@ def _values():
         "SubstringOccurrence": lambda: SubstringOccurrence(0, 2, "factor"),
         "RIndex": lambda: RIndex(("a", "b")),
         "TransformResult": lambda: cma(_fig5()),
-        "TransformedAlgebraReport": lambda: (
-            lambda bq: verify_endo_dimension(bq, validate_index(bq, ["a"]))
-        )(_fig5()),
+        "TransformedAlgebraReport": _report,
     }
 
 
@@ -100,6 +103,7 @@ def test_copies_are_equal(name):
 
 def test_copied_quiver_answers_as_the_original():
     bq = _fig5()
+    # computed on bq, so that bq carries cached facts when it is copied
     dim = verify_endo_dimension(bq, validate_index(bq, ["a"])).dim_source_endo
     for made in (copy.deepcopy(bq), pickle.loads(pickle.dumps(bq))):
         assert verify_endo_dimension(made, validate_index(made, ["a"])).dim_source_endo == dim
