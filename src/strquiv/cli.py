@@ -174,22 +174,17 @@ def _verify(bq, args):
         subsets = ([x for i, x in enumerate(left) if (mask >> i) & 1] for mask in range(count))
     else:
         subsets = [_split_index(args.R or "")]
-    indices = [validate_index(bq, s) for s in subsets]
-    reports = [(i.arrows, verify_endo_dimension(bq, i)) for i in indices]
-    payload = {
-        "ok": all(r.dimensions_match for _, r in reports),
-        "reports": [
-            {"R": s, "dim_source_endo": r.dim_source_endo, "dim_transformed": r.dim_transformed,
-             "match": r.dimensions_match}
-            for s, r in reports
-        ],
-    }
-    lines = [
-        f"R={{{','.join(s)}}}: endo={r.dim_source_endo} transformed={r.dim_transformed} "
-        + ("ok" if r.dimensions_match else "MISMATCH")
-        for s, r in reports
-    ]
-    return payload, lines
+    # only each report's numbers are kept, so no split algebra outlives the next subset
+    entries, lines = [], []
+    for s in subsets:
+        index = validate_index(bq, s)
+        r = verify_endo_dimension(bq, index)
+        entries.append({"R": index.arrows, "dim_source_endo": r.dim_source_endo,
+                        "dim_transformed": r.dim_transformed, "match": r.dimensions_match})
+        verdict = "ok" if r.dimensions_match else "MISMATCH"
+        lines.append(f"R={{{','.join(index.arrows)}}}: endo={r.dim_source_endo} "
+                     f"transformed={r.dim_transformed} {verdict}")
+    return {"ok": all(e["match"] for e in entries), "reports": entries}, lines
 
 
 def _gen(bq, args):

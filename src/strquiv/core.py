@@ -9,7 +9,6 @@ relation set, so relations of any length >= 2 are handled uniformly.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -26,15 +25,9 @@ if TYPE_CHECKING:
     from .classify import Classification
     from .forbidden import ForbiddenCycle
 
-TOKEN_RE = re.compile(r"^[A-Za-z0-9_']+$")
-
-# product-graph nodes (vertex, automaton state), made and stepped only here
+# product-graph nodes (vertex, automaton state); only _product_edges steps one
 _ProductNode = tuple[str, int]
 _ProductEdge = tuple[str, _ProductNode]
-
-
-def is_token(s: str) -> bool:
-    return bool(TOKEN_RE.match(s))
 
 
 class Arrow(NamedTuple):
@@ -129,10 +122,14 @@ class FactorAutomaton:
                 accept[nxt] = accept[nxt] or accept[fail[nxt]]
         self._goto, self._fail, self._accept = goto, fail, accept
 
-    def step(self, state: int, sym: str) -> int | None:
+    def _next(self, state: int, sym: str) -> int:
+        """The state after reading ``sym`` at ``state``, along failure links."""
         while state and sym not in self._goto[state]:
             state = self._fail[state]
-        nxt = self._goto[state].get(sym, 0)
+        return self._goto[state].get(sym, 0)
+
+    def step(self, state: int, sym: str) -> int | None:
+        nxt = self._next(state, sym)
         return None if self._accept[nxt] else nxt
 
     def first_factor(self, word: Iterable[str]) -> tuple[str, ...] | None:
@@ -140,9 +137,7 @@ class FactorAutomaton:
         factor, or None when ``word`` contains none of them."""
         state = 0
         for sym in word:
-            while state and sym not in self._goto[state]:
-                state = self._fail[state]
-            state = self._goto[state].get(sym, 0)
+            state = self._next(state, sym)
             if self._accept[state]:
                 return self._accept[state]
         return None
@@ -243,10 +238,6 @@ class BoundQuiver(Frozen):
     @cached_property
     def automaton(self) -> FactorAutomaton:
         return FactorAutomaton(self.relations)
-
-    @cached_property
-    def max_relation_length(self) -> int:
-        return max((len(r) for r in self.relations), default=0)
 
     @cached_property
     def _relation_partners(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:

@@ -69,7 +69,7 @@ def r_transform(bq: BoundQuiver, index: RIndex) -> TransformResult:
     members = set(index.arrows)
     if len(members) < len(index.arrows):  # a hand-built RIndex is outside input
         raise DuplicateId(f"index repeats an arrow: {' '.join(index.arrows)}")
-    validate_index(bq, index.arrows)  # each arrow known and left forbidden
+    index = validate_index(bq, index.arrows)  # each arrow known and left forbidden, in order
     if not members:  # splitting no arrow leaves the quiver as it is
         return TransformResult(bq, {}, {})
     taken = set(bq.vertices) | {a.id for a in bq.arrows}
@@ -162,7 +162,7 @@ def verify_endo_dimension(bq: BoundQuiver, index: RIndex) -> TransformedAlgebraR
     dim_source_endo = sum(into.values())
     for node, k in into.items():
         for killers in kernels.get(node[0], ()):
-            if all(x not in killers for x, _ in bq._product_table[node]):
+            if all(x not in killers for x, _ in _product_edges(bq, node)):
                 dim_source_endo += k
     # split at no arrow, bq is its own transform and its paths were just counted
     dim_transformed = dim_source_endo if result.quiver is bq else algebra_dim(result.quiver)

@@ -151,11 +151,11 @@ def validate_string(bq: BoundQuiver, w: Walk) -> bool:
 def band_problems(bq: BoundQuiver, cw: CyclicWalk) -> list[str]:
     """Diagnostics for why ``cw`` fails to be a band; empty means valid.
 
-    A relation has at most ``max_relation_length`` letters, so the power
-    below holds every factor of every power of ``cw`` that a relation could
-    be, and every wrap-around pair: it is a string iff all powers are.  Each
+    The power below, of two more copies than the longest relation fills,
+    holds every factor of every power of ``cw`` that a relation could be,
+    and every wrap-around pair: it is a string iff all powers are.  Each
     problem is reported once, at its position in ``cw``."""
-    reps = bq.max_relation_length // len(cw) + 2
+    reps = max(map(len, bq.relations), default=0) // len(cw) + 2
     problems = list(dict.fromkeys(_walk_problems(bq, Walk(cw.letters * reps), len(cw))))
     if _primitive_root(cw.letters) != cw.letters:
         problems.append("cyclic walk is a proper power of a shorter walk")
@@ -301,11 +301,11 @@ def _find_product_cycle(bq: BoundQuiver, cap: int) -> list[Letter] | None:
 
 
 def _primitive_root(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The shortest prefix of which ``letters`` is a power; at d = n the loop returns."""
     n = len(letters)
     for d in range(1, n + 1):
         if n % d == 0 and letters == letters[:d] * (n // d):
             return letters[:d]
-    return letters
 
 
 def _band_cycle(bq: BoundQuiver) -> tuple[int, ...] | None:

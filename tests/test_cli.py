@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -466,6 +468,28 @@ def test_verify_all_indices_on_many_arrows_needs_a_cap(call, tmp_path):
 def test_verify_all_indices_lists_every_subset_of_few_arrows(call):
     code, out, _ = call("verify", FIG5, "--all-indices", "--json")
     assert len(json.loads(out)["reports"]) == 1 << 12
+
+
+def test_verify_all_indices_holds_at_most_one_earlier_split_quiver(call, monkeypatch):
+    # each report's split quiver is freed once its line is made, so at most
+    # the previous one is still alive when the next subset is verified
+    import strquiv.transform
+
+    verify = strquiv.transform.verify_endo_dimension
+    refs, alive = [], []
+
+    def tracked(bq, index):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        report = verify(bq, index)
+        if report.result.quiver is not bq:  # R = ∅ splits nothing
+            refs.append(weakref.ref(report.result.quiver))
+        return report
+
+    monkeypatch.setattr(strquiv.transform, "verify_endo_dimension", tracked)
+    code, out, _ = call("verify", FIG5, "--all-indices", "--cap", "16")
+    assert code == 0 and len(out.splitlines()) == 16
+    assert len(alive) == 16 and len(refs) == 15 and max(alive) <= 1
 
 
 def test_verify_without_index_flags_checks_the_empty_index(call):

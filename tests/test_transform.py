@@ -167,6 +167,14 @@ class TestSplitQuiverNeedsNoBuild:
     def test_hand_built_index_repeating_an_arrow(self, fig5):
         with pytest.raises(DuplicateId):
             r_transform(fig5, RIndex(("a", "a")))
+        with pytest.raises(DuplicateId):  # reported before the unknown arrow
+            r_transform(fig5, RIndex(("zz", "zz")))
+
+    def test_hand_built_index_out_of_order_splits_in_declaration_order(self, fig5):
+        tr = r_transform(fig5, RIndex(("c", "a")))
+        assert tr == r_transform(fig5, validate_index(fig5, ["c", "a"]))
+        assert tr.quiver.vertices[-2:] == ("v_a", "v_c")
+        assert list(tr.vertex_map) == ["a", "c"]
 
     def test_hand_built_index_naming_an_unknown_arrow(self, fig5):
         with pytest.raises(UnknownArrow):

@@ -99,6 +99,31 @@ class TestValidateString:
             validate_string(star, Walk((Letter("a", False),)))
 
 
+class TestWalkEnds:
+    def test_trivial_walk_starts_and_ends_at_its_anchor(self, fig5):
+        w = Walk((), "3")
+        assert (w.source(fig5), w.target(fig5)) == ("3", "3")
+
+    def test_forward_walk(self, fig5):
+        w = parse_walk(fig5, "a e'")  # a: 1 -> 2, e': 2 -> 6
+        assert (w.source(fig5), w.target(fig5)) == ("1", "6")
+
+    @pytest.mark.parametrize(
+        "text, ends",
+        [("a e^-1", ("1", "5")), ("d'^-1 a e^-1", ("5", "5")), ("a' d'^-1", ("4", "1"))],
+    )
+    def test_walk_ending_in_an_inverse_letter(self, fig5, text, ends):
+        # an inverse letter runs from its arrow's target to its source
+        w = parse_walk(fig5, text)
+        assert (w.source(fig5), w.target(fig5)) == ends
+
+    @pytest.mark.parametrize("text", ["e(2)", "a e'", "a e^-1", B_TEXT])
+    def test_the_inverse_swaps_the_ends(self, fig5, text):
+        w = parse_walk(fig5, text)
+        assert w.inverse().source(fig5) == w.target(fig5)
+        assert w.inverse().target(fig5) == w.source(fig5)
+
+
 class TestValidateBand:
     def test_reference_band(self, fig5, band_B):
         assert validate_band(fig5, band_B)
