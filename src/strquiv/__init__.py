@@ -27,8 +27,7 @@ _EXPORTS = {
     "forbidden": ("ForbiddenCycle", "PerfectIndex", "forbidden_cycles", "is_perfect",
                   "left_forbidden_arrows", "perfect_index"),
     "generate": ("RandomSagSpec", "gen_random_sag"),
-    "strmod": ("SubstringOccurrence", "arrow_module_string", "factor_substrings", "hom_dim",
-               "image_substrings", "projective_string"),
+    "strmod": ("arrow_module_string", "hom_dim", "projective_string"),
     "transform": ("RIndex", "TransformResult", "TransformedAlgebraReport", "cma", "lift_walk",
                   "r_transform", "validate_index", "verify_endo_dimension"),
     "walks": ("CyclicWalk", "Letter", "Walk", "band_exists", "band_problems", "canonical_band",

@@ -26,7 +26,7 @@ from .errors import ParseError, UnknownArrow, UnknownVertex
 if TYPE_CHECKING:
     from .walks import CyclicWalk, Walk
 
-TOKEN_RE = re.compile(r"^[A-Za-z0-9_']+$")
+TOKEN_RE = re.compile(r"[A-Za-z0-9_']+")
 
 
 def parse_quiver(text: str) -> BoundQuiver:
@@ -73,8 +73,8 @@ def parse_quiver(text: str) -> BoundQuiver:
 def _tokens(ln: int, text: str, col: int, what: str) -> list[str]:
     """The whitespace-separated tokens of ``text``, which starts at column ``col``."""
     found = text.split()
-    if not all(map(TOKEN_RE.match, found)):
-        bad = next(m for m in re.finditer(r"\S+", text) if not TOKEN_RE.match(m.group()))
+    if not all(map(TOKEN_RE.fullmatch, found)):
+        bad = next(m for m in re.finditer(r"\S+", text) if not TOKEN_RE.fullmatch(m.group()))
         raise ParseError(ln, col + bad.start(), f"{what} {bad.group()!r}")
     return found
 
@@ -90,7 +90,7 @@ def _parse_arrow_line(ln: int, line: str, col: int) -> Arrow:
     for start, stop in ((0, colon), (colon + 1, arrow), (arrow + 2, len(line))):
         part = line[start:stop]
         tok = part.strip()
-        if not TOKEN_RE.match(tok):
+        if not TOKEN_RE.fullmatch(tok):
             raise ParseError(ln, col + start + len(part) - len(part.lstrip()), f"bad token {tok!r}")
         ends.append(tok)
     return Arrow(*ends)
@@ -135,7 +135,7 @@ def quiver_from_json(data: dict | str) -> BoundQuiver:
         raise ParseError(1, 1, f"malformed JSON quiver: {exc}") from None
     ids = [*vertices, *(x for a in arrows for x in (a.id, a.source, a.target))]
     for x in ids + [x for rel in relations for x in rel]:
-        if not (isinstance(x, str) and TOKEN_RE.match(x)):
+        if not (isinstance(x, str) and TOKEN_RE.fullmatch(x)):
             raise ParseError(1, 1, f"bad token {x!r}")
     return BoundQuiver.build(vertices, arrows, relations)
 

@@ -354,10 +354,14 @@ def test_infinite_dimensional_names_the_cycle(call, tmp_path, argv):
         ("[" * 100_000 + "]" * 100_000, ["validate"], "ParseError"),
         ('{"vertices": [' + "1" * 5000 + '], "arrows": [], "relations": []}', ["validate"],
          "ParseError"),
+        # no DSL token can hold the newline, so cma --out could not write it
+        ('{"vertices": ["1\\n", "2"], "arrows": [{"id": "a", "source": "1\\n", "target": "2"}],'
+         ' "relations": []}', ["cma"], "ParseError"),
     ],
     ids=[
         "truncated", "no-arrows", "list", "int-id", "dict-id", "not-utf8", "directory",
         "empty-cycle", "trivial-cycle", "cyclic-homdim", "nested-too-deep", "long-number",
+        "newline-id",
     ],
 )
 def test_bad_input_exit_2(call, tmp_path, content, argv, tag):

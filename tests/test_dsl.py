@@ -1,4 +1,6 @@
 import json
+import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from strquiv import (
     CyclicWalk,
     ParseError,
+    QuiverError,
     RandomSagSpec,
     UnknownArrow,
     UnknownVertex,
@@ -97,6 +100,64 @@ class TestRoundTrip:
         bq = gen_random_sag(RandomSagSpec(seed=seed, num_vertices=4, num_arrows=5))
         assert parse_quiver(format_quiver(bq)) == bq
         assert quiver_from_json(quiver_to_json(bq)) == bq
+
+
+# what a mutation may insert: separators, control and non-ASCII characters,
+# DSL and JSON punctuation, and JSON escapes that decode to whitespace
+_NOISE = ["\t", "\r", "\0", "\n", " ", "é", "→", "#", ":", "->", "'", "_", "x", "1", "a",
+          '"', ",", "[", "]", "{", "}", "\\n", "\\t", "\\u00e9"]
+_NEWLINE_ID = ('{"vertices": ["1\\n", "2"], "arrows": [{"id": "a", "source": "1\\n", '
+               '"target": "2"}], "relations": []}')
+
+
+def _mutants(text, rng, count):
+    """``count`` copies of ``text``, each with one to three of its tokens
+    deleted or copied, or a noise token inserted."""
+    pieces = re.findall(r"\w+|\s|.", text)
+    for _ in range(count):
+        mutant = list(pieces)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(mutant))
+            op = rng.randrange(3)
+            if op == 0:
+                del mutant[i]
+            else:
+                mutant.insert(i, rng.choice(mutant if op == 1 else _NOISE))
+        yield "".join(mutant)
+
+
+def _writes_back_if_it_loads(load, text):
+    """Whether ``text`` loads; if it does, both written forms load back equal."""
+    try:
+        bq = load(text)
+    except QuiverError:
+        return False
+    assert parse_quiver(format_quiver(bq)) == bq, text
+    assert quiver_from_json(json.dumps(quiver_to_json(bq))) == bq, text
+    return True
+
+
+_LOADERS = {"dsl": (parse_quiver, format_quiver),
+            "json": (quiver_from_json, lambda bq: json.dumps(quiver_to_json(bq)))}
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("form", _LOADERS)
+def test_every_mutant_that_loads_writes_back(form, seed, fig1, fig5):
+    load, dump = _LOADERS[form]
+    rng = random.Random(seed)
+    loaded = sum(
+        _writes_back_if_it_loads(load, mutant)
+        for bq in (fig1, fig5)
+        for mutant in _mutants(dump(bq), rng, 150)
+    )
+    assert loaded > 0
+
+
+def test_an_id_with_a_trailing_newline_does_not_load():
+    assert not _writes_back_if_it_loads(quiver_from_json, _NEWLINE_ID)
+    with pytest.raises(ParseError, match="bad token '1\\\\n'"):
+        quiver_from_json(_NEWLINE_ID)
 
 
 _TWO_CYCLE = {

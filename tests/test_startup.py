@@ -74,7 +74,7 @@ def test_every_exported_name_resolves_and_star_import_binds_it():
                           home, len(strquiv.__all__), listed]))
         """)
     names, unbound, classify_name, home, count, listed = found
-    assert count == 69 and unbound == [] and listed
+    assert count == 66 and unbound == [] and listed
     assert "module" not in names.values()
     assert classify_name == "classify" and names["classify"] == "function"
     assert home["find_band"] == "strquiv.walks" and home["Arrow"] == "strquiv.core"

@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -8,6 +10,7 @@ from strquiv import (
     Arrow,
     BoundQuiver,
     InvalidWalk,
+    Letter,
     RandomSagSpec,
     UnknownVertex,
     Walk,
@@ -15,18 +18,15 @@ from strquiv import (
     arrow_module_string,
     enumerate_paths,
     enumerate_strings,
-    factor_substrings,
     format_walk,
     gen_random_sag,
     hom_dim,
-    image_substrings,
     left_forbidden_arrows,
     parse_walk,
     projective_string,
     validate_index,
     verify_endo_dimension,
 )
-from strquiv.strmod import _factor_table, _image_table, _pair_count
 
 
 class TestProjectiveString:
@@ -65,38 +65,6 @@ class TestArrowModuleString:
         bq = BoundQuiver.build(["1", "2"], [Arrow("a", "1", "2")])
         w = arrow_module_string(bq, "a")
         assert w.is_trivial and w.anchor == "2"
-
-
-class TestSubstrings:
-    def test_trivial_walk_single_occurrence(self, fig5):
-        w = Walk((), "2")
-        assert len(factor_substrings(w)) == 1
-        assert len(image_substrings(w)) == 1
-
-    def test_single_forward_letter_factors(self, fig5):
-        w = parse_walk(fig5, "a")
-        occs = factor_substrings(w)
-        # trivial at the start (followed by fwd) and the whole walk
-        assert [(o.start, o.end) for o in occs] == [(0, -1), (0, 0)]
-
-    def test_single_forward_letter_images(self, fig5):
-        w = parse_walk(fig5, "a")
-        occs = image_substrings(w)
-        # trivial at the end (preceded by fwd) and the whole walk
-        assert [(o.start, o.end) for o in occs] == [(0, 0), (1, 0)]
-
-    def test_boundaries_brute_force(self, fig5):
-        w = projective_string(fig5, "1")  # d'^-1 a e'
-        occs = factor_substrings(w)
-        expected = []
-        n = len(w.letters)
-        for start in range(n + 1):
-            for end in range(start - 1, n):
-                before = w.letters[start - 1] if start >= 1 else None
-                after = w.letters[end + 1] if end + 1 < n else None
-                if (before is None or before.inv) and (after is None or not after.inv):
-                    expected.append((start, end))
-        assert [(o.start, o.end) for o in occs] == sorted(expected)
 
 
 class TestHomDim:
@@ -160,65 +128,122 @@ def test_projective_hom_oracle_generated(seed):
             ) == len(enumerate_paths(bq, v, w))
 
 
+def _occurrences(w, factor):
+    """Reference: each (start, end) letter range of ``w``, with end ==
+    start - 1 for a trivial one, whose boundary letters point out of it
+    (a factor) or into it (an image)."""
+    n = len(w.letters)
+    found = []
+    for start in range(n + 1):
+        for end in range(start - 1, n):
+            before = w.letters[start - 1] if start >= 1 else None
+            after = w.letters[end + 1] if end + 1 < n else None
+            if (before is None or before.inv == factor) and (after is None or after.inv != factor):
+                found.append((start, end))
+    return found
+
+
+def _vertex_at(bq, w, pos):
+    if w.is_trivial:
+        return w.anchor
+    if pos == 0:
+        letter = w.letters[0]
+        arrow = bq.arrow_by_id[letter.arrow]
+        return arrow.target if letter.inv else arrow.source
+    letter = w.letters[pos - 1]
+    arrow = bq.arrow_by_id[letter.arrow]
+    return arrow.source if letter.inv else arrow.target
+
+
+def _key(bq, w, start, end):
+    """A trivial occurrence matches by its vertex, a nontrivial one by its letters."""
+    return _vertex_at(bq, w, start) if end < start else w.letters[start : end + 1]
+
+
+def _inverse(letters):
+    return tuple(l.inverse() for l in reversed(letters))
+
+
 def _pairwise_hom_dim(bq, s2, s1):
     """Reference: compare every factor occurrence of s2 with every image
     occurrence of s1, directly and under inversion."""
-
-    def vertex_at(w, pos):
-        if w.is_trivial:
-            return w.anchor
-        if pos == 0:
-            letter = w.letters[0]
-            arrow = bq.arrow_by_id[letter.arrow]
-            return arrow.target if letter.inv else arrow.source
-        letter = w.letters[pos - 1]
-        arrow = bq.arrow_by_id[letter.arrow]
-        return arrow.source if letter.inv else arrow.target
-
     total = 0
-    images = image_substrings(s1)
-    for q in factor_substrings(s2):
-        q_letters = s2.letters[q.start : q.end + 1]
-        for p in images:
-            p_letters = s1.letters[p.start : p.end + 1]
-            if q.is_trivial and p.is_trivial:
-                if vertex_at(s2, q.start) == vertex_at(s1, p.start):
-                    total += 1
+    images = _occurrences(s1, factor=False)
+    for q_start, q_end in _occurrences(s2, factor=True):
+        q_key = _key(bq, s2, q_start, q_end)
+        for p_start, p_end in images:
+            p_key = _key(bq, s1, p_start, p_end)
+            if (q_end < q_start) != (p_end < p_start):
                 continue
-            if q.is_trivial or p.is_trivial:
-                continue
-            if q_letters == p_letters:
+            if q_key == p_key:
                 total += 1
-            if q_letters == tuple(l.inverse() for l in reversed(p_letters)):
+            if q_end >= q_start and q_key == _inverse(p_key):
                 total += 1
     return total
 
 
-@pytest.mark.parametrize("seed", [None, 1, 2, 3])
-def test_hom_dim_matches_pairwise_reference(seed, fig5):
-    if seed is None:
-        bq = fig5
-    else:
+def _long_string_pairs():
+    """Seeded random pairs of strings of up to 8 letters on generated quivers."""
+    rng = random.Random(8)
+    pairs = []
+    for seed in range(10):
         bq = gen_random_sag(RandomSagSpec(seed=seed, num_vertices=8, num_arrows=12))
-    strings = enumerate_strings(bq, 4)
-    for s2 in strings:
-        for s1 in strings:
-            assert hom_dim(bq, s2, s1) == _pairwise_hom_dim(bq, s2, s1), (
-                format_walk(s2),
-                format_walk(s1),
-            )
+        strings = enumerate_strings(bq, 8)
+        pairs += [(bq, rng.choice(strings), rng.choice(strings)) for _ in range(100)]
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, "long"])
+def test_hom_dim_matches_pairwise_reference(seed, fig5):
+    if seed == "long":
+        pairs = _long_string_pairs()
+    else:
+        bq = fig5 if seed is None else gen_random_sag(
+            RandomSagSpec(seed=seed, num_vertices=8, num_arrows=12)
+        )
+        strings = enumerate_strings(bq, 4)
+        pairs = [(bq, s2, s1) for s2 in strings for s1 in strings]
+    for bq, s2, s1 in pairs:
+        assert hom_dim(bq, s2, s1) == _pairwise_hom_dim(bq, s2, s1), (
+            format_walk(s2),
+            format_walk(s1),
+        )
+
+
+def test_hom_dim_of_a_long_zigzag_stays_small():
+    # the alternating A_200 with no relations: its zigzag walk has about
+    # 200²/8 factor and as many image occurrences, so none may be stored
+    n = 200
+    bq = BoundQuiver.build(
+        [str(i) for i in range(n + 1)],
+        [Arrow(f"a{i}", *((str(i), str(i + 1)) if i % 2 == 0 else (str(i + 1), str(i))))
+         for i in range(n)],
+    )
+    w = Walk(tuple(Letter(f"a{i}", i % 2 == 1) for i in range(n)))
+    tracemalloc.start()
+    try:
+        assert hom_dim(bq, w, w) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _end_dim(bq, summands):
     """Reference: dim End of the direct sum of the string modules of
-    ``summands``, as the summed factor tables times the summed image
-    tables of every substring occurrence of every summand."""
+    ``summands``, as the summed factor-key counts times the summed
+    image-key counts of every occurrence of every summand.  A nontrivial
+    image counts under its letters and under its inverse's."""
     factors: Counter = Counter()
     images: Counter = Counter()
     for w in summands:
-        factors.update(_factor_table(bq, w))
-        images.update(_image_table(bq, w))
-    return _pair_count(factors, images)
+        factors.update(_key(bq, w, *q) for q in _occurrences(w, factor=True))
+        for start, end in _occurrences(w, factor=False):
+            key = _key(bq, w, start, end)
+            images[key] += 1
+            if end >= start:
+                images[_inverse(key)] += 1
+    return sum(n * images[key] for key, n in factors.items())
 
 
 def _assert_split_matches_tables(bq, arrows):

@@ -20,7 +20,6 @@ from strquiv import (
     PerfectIndex,
     RandomSagSpec,
     RIndex,
-    SubstringOccurrence,
     TransformedAlgebraReport,
     TransformResult,
     Walk,
@@ -58,7 +57,6 @@ def _values():
         "ForbiddenCycle": lambda: ForbiddenCycle(("a", "b", "c")),
         "PerfectIndex": lambda: PerfectIndex(frozenset("abc"), (ForbiddenCycle(("a", "b", "c")),)),
         "RandomSagSpec": lambda: RandomSagSpec(3, num_vertices=8, num_arrows=12),
-        "SubstringOccurrence": lambda: SubstringOccurrence(0, 2, "factor"),
         "RIndex": lambda: RIndex(("a", "b")),
         "TransformResult": lambda: cma(_fig5()),
         "TransformedAlgebraReport": _report,
@@ -71,8 +69,8 @@ UNHASHABLE = {"TransformResult", "TransformedAlgebraReport"}
 # the first field of each class
 FIRST = {"BoundQuiver": "vertices", "Path": "arrows", "Walk": "letters", "CyclicWalk": "letters",
          "Arrow": "id", "Letter": "arrow", "Classification": "is_string", "ForbiddenCycle": "arrows",
-         "PerfectIndex": "arrows", "RandomSagSpec": "seed", "SubstringOccurrence": "start",
-         "RIndex": "arrows", "TransformResult": "quiver", "TransformedAlgebraReport": "result"}
+         "PerfectIndex": "arrows", "RandomSagSpec": "seed", "RIndex": "arrows",
+         "TransformResult": "quiver", "TransformedAlgebraReport": "result"}
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -138,12 +136,6 @@ def test_constructor_checks():
         Walk(())
     with pytest.raises(ValueError, match="nonempty"):
         CyclicWalk(())
-
-
-def test_occurrences_order_by_start_end_kind():
-    occ = [SubstringOccurrence(1, 0, "image"), SubstringOccurrence(0, 2, "image"),
-           SubstringOccurrence(0, 2, "factor")]
-    assert sorted(occ) == [occ[2], occ[1], occ[0]]
 
 
 def test_record_defaults():
