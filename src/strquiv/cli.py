@@ -93,11 +93,12 @@ def _reptype(bq, args):
 
 
 def _forbidden(bq, args):
-    from .forbidden import left_forbidden_arrows, perfect_index
+    from .forbidden import forbidden_cycles, left_forbidden_arrows, perfect_index
 
     left = _in_order(bq, left_forbidden_arrows(bq))
-    cycles = [(c.arrows, flag) for c, flag in bq._flagged_cycles]
-    index = _in_order(bq, perfect_index(bq).arrows)
+    perfect = perfect_index(bq).arrows
+    cycles = [(c.arrows, perfect.issuperset(c.arrows)) for c in forbidden_cycles(bq)]
+    index = _in_order(bq, perfect)
     lines = ["left forbidden: " + " ".join(left)]
     lines += [f"cycle: {' '.join(c)}" + (" (perfect)" if flag else "") for c, flag in cycles]
     lines.append("perfect index: " + " ".join(index))

@@ -4,7 +4,8 @@ membership, path enumeration and algebra dimension.
 A path is "in the ideal" iff it contains some relation as a contiguous
 factor.  Ideal membership, finiteness and path enumeration all run on the
 product of the quiver with a forbidden-factor automaton built from the
-relation set, so relations of any length >= 2 are handled uniformly.
+relation set, so relations of any length >= 2 are handled uniformly; when
+all have length 2, the relation-partner table gives the product's edges.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .classify import Classification
-    from .forbidden import ForbiddenCycle
+    from .forbidden import ForbiddenCycle, PerfectIndex
 
 # product-graph nodes (vertex, automaton state); only _product_edges steps one
 _ProductNode = tuple[str, int]
@@ -254,6 +255,16 @@ class BoundQuiver(Frozen):
         return after, before
 
     @cached_property
+    def _quadratic_states(self) -> tuple[dict[str, int], list] | None:
+        """None unless every relation has length 2.  Then the state after an
+        arrow is its number among the relation heads, from 1, or 0, and each
+        state bars its arrow's after-partners."""
+        if any(len(r) != 2 for r in self.relations):
+            return None
+        after = self._relation_partners[0]
+        return {x: i for i, x in enumerate(after, 1)}, [(), *after.values()]
+
+    @cached_property
     def left_forbidden_arrows(self) -> frozenset[str]:
         """Arrows that head a length-2 relation."""
         return frozenset(self._relation_partners[0])
@@ -296,10 +307,16 @@ class BoundQuiver(Frozen):
         return _classification(self)
 
     @cached_property
-    def _flagged_cycles(self) -> "tuple[tuple[ForbiddenCycle, bool], ...]":
-        from .forbidden import _flagged_cycles  # forbidden imports this module
+    def _forbidden_cycles(self) -> "tuple[ForbiddenCycle, ...]":
+        from .forbidden import _forbidden_cycles  # forbidden imports this module
 
-        return _flagged_cycles(self)
+        return _forbidden_cycles(self)
+
+    @cached_property
+    def _perfect_index(self) -> "PerfectIndex":
+        from .forbidden import _perfect_index
+
+        return _perfect_index(self)
 
 
 def in_ideal(bq: BoundQuiver, p: Path) -> bool:
@@ -352,15 +369,22 @@ def depth_first(bq: BoundQuiver) -> tuple[tuple | None, list[_ProductNode]]:
 def _product_edges(bq: BoundQuiver, node: _ProductNode) -> list[_ProductEdge]:
     """The ``(arrow, next node)`` edges out of a product node in arrow
     declaration order, stepped once per quiver.  A single arrow is never a
-    relation, so each arrow out of ``(v, 0)`` has an edge."""
+    relation, so each arrow out of ``(v, 0)`` has an edge.  A quadratic
+    quiver steps from its partner table: its automaton's graph, up to the
+    names of the states, with no automaton built."""
     edges = bq._product_table.get(node)
     if edges is None:
         v, state = node
         edges = bq._product_table[node] = []
-        for a in bq.out_arrows[v]:
-            nxt = bq.automaton.step(state, a.id)
-            if nxt is not None:
-                edges.append((a.id, (a.target, nxt)))
+        if quadratic := bq._quadratic_states:
+            heads, barred = quadratic[0], quadratic[1][state]
+            edges += [(a.id, (a.target, heads.get(a.id, 0)))
+                      for a in bq.out_arrows[v] if a.id not in barred]
+        else:
+            for a in bq.out_arrows[v]:
+                nxt = bq.automaton.step(state, a.id)
+                if nxt is not None:
+                    edges.append((a.id, (a.target, nxt)))
     return edges
 
 

@@ -27,55 +27,65 @@ if TYPE_CHECKING:
     from .walks import CyclicWalk, Walk
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_']+")
+# a whole arrow line, stripped: 'id: source -> target'
+_ARROW_LINE = re.compile(r"({0})\s*:\s*({0})\s*->\s*({0})".format(TOKEN_RE.pattern))
 
 
 def parse_quiver(text: str) -> BoundQuiver:
-    # (line number, line without comment or blanks, column where it starts);
-    # every column counts from the start of the raw line
-    lines: list[tuple[int, str, int]] = []
+    # (line number, line without comment or blanks, line without comment);
+    # a column, worked out only for an error, counts from the raw line's start
+    lines: list[tuple[int, str, str]] = []
     for i, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0]
-        if body.strip():
-            lines.append((i, body.strip(), len(body) - len(body.lstrip()) + 1))
+        if line := body.strip():
+            lines.append((i, line, body))
 
     if not lines:
         raise ParseError(1, 1, "unexpected end of document, expected 'quiver' header")
-    ln, line, col = lines[0]
+    ln, line, body = lines[0]
     if line != "quiver":
-        raise ParseError(ln, col, f"expected 'quiver', got {line!r}")
+        raise ParseError(ln, _col(body), f"expected 'quiver', got {line!r}")
     if len(lines) == 1:
         raise ParseError(ln, 1, "unexpected end of document, expected 'vertices:' line")
-    ln, line, col = lines[1]
+    ln, line, body = lines[1]
     if not line.startswith("vertices:"):
-        raise ParseError(ln, col, f"expected 'vertices:', got {line!r}")
-    skip = len("vertices:")
-    vertices = _tokens(ln, line[skip:], col + skip, "bad vertex token")
+        raise ParseError(ln, _col(body), f"expected 'vertices:', got {line!r}")
+    vertices = _tokens(ln, line, body, "bad vertex token", len("vertices:"))
     if not vertices:
-        raise ParseError(ln, col + len(line) - 1, "at least one vertex is required")
+        raise ParseError(ln, _col(body) + len(line) - 1, "at least one vertex is required")
     if len(lines) > 2 and lines[2][1] != "arrows:":
-        ln, line, col = lines[2]
-        raise ParseError(ln, col, f"expected 'arrows:', got {line!r}")
+        ln, line, body = lines[2]
+        raise ParseError(ln, _col(body), f"expected 'arrows:', got {line!r}")
 
     arrows: list[Arrow] = []
     relations: list[list[str]] = []
     in_relations = False
-    for ln, line, col in lines[3:]:
+    for ln, line, body in lines[3:]:
         if line == "relations:":
             in_relations = True
         elif in_relations:
-            relations.append(_tokens(ln, line, col, "bad token"))
-        else:
-            arrows.append(_parse_arrow_line(ln, line, col))
+            relations.append(_tokens(ln, line, body, "bad token"))
+        elif m := _ARROW_LINE.fullmatch(line):
+            arrows.append(Arrow(*m.groups()))
+        else:  # part by part, to report where the line goes wrong
+            arrows.append(_parse_arrow_line(ln, line, _col(body)))
 
     return BoundQuiver.build(vertices, arrows, relations)
 
 
-def _tokens(ln: int, text: str, col: int, what: str) -> list[str]:
-    """The whitespace-separated tokens of ``text``, which starts at column ``col``."""
-    found = text.split()
+def _col(body: str) -> int:
+    """The column where the stripped ``body`` starts."""
+    return len(body) - len(body.lstrip()) + 1
+
+
+def _tokens(ln: int, line: str, body: str, what: str, skip: int = 0) -> list[str]:
+    """The whitespace-separated tokens of ``line[skip:]``, where ``line`` is
+    ``body`` stripped."""
+    found = line[skip:].split()
     if not all(map(TOKEN_RE.fullmatch, found)):
-        bad = next(m for m in re.finditer(r"\S+", text) if not TOKEN_RE.fullmatch(m.group()))
-        raise ParseError(ln, col + bad.start(), f"{what} {bad.group()!r}")
+        bad = next(m for m in re.compile(r"\S+").finditer(line, skip)
+                   if not TOKEN_RE.fullmatch(m.group()))
+        raise ParseError(ln, _col(body) + bad.start(), f"{what} {bad.group()!r}")
     return found
 
 

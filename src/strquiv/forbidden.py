@@ -55,24 +55,21 @@ def _cycle_problems(bq: BoundQuiver, arrows: tuple[str, ...]) -> list[str]:
     # Nonadjacency away from the cycle: no arrow connects two cycle
     # vertices that are not cyclically consecutive.
     index = {v: i for i, v in enumerate(vertices)}
-    for a in bq.arrows:
-        if a.source in index and a.target in index and a.source != a.target:
-            gap = (index[a.target] - index[a.source]) % n
-            if gap != 1 and (index[a.source] - index[a.target]) % n != 1:
-                problems.append(
-                    f"chord {a.id} joins nonconsecutive cycle vertices"
-                )
+    chords = [a for v in vertices for a in bq.out_arrows[v] if a.target in index
+              and (index[a.target] - index[v]) % n not in (1, n - 1, 0)]
+    for a in sorted(chords, key=lambda a: bq.arrow_index[a.id]):
+        problems.append(f"chord {a.id} joins nonconsecutive cycle vertices")
     return problems
 
 
 def forbidden_cycles(bq: BoundQuiver) -> list[ForbiddenCycle]:
     """All forbidden cycles, canonically rotated, in deterministic order."""
-    return [c for c, _ in bq._flagged_cycles]
+    return list(bq._forbidden_cycles)
 
 
-def _flagged_cycles(bq: BoundQuiver) -> tuple[tuple[ForbiddenCycle, bool], ...]:
-    """Every forbidden cycle with its perfect flag; run once per quiver, as
-    ``BoundQuiver._flagged_cycles``."""
+def _forbidden_cycles(bq: BoundQuiver) -> tuple[ForbiddenCycle, ...]:
+    """:func:`forbidden_cycles`; run once per quiver, as
+    ``BoundQuiver._forbidden_cycles``."""
     idx = bq.arrow_index
     succs, preds = bq._relation_partners
     # the vertices joined by an arrow to each vertex that a path can step onto
@@ -99,7 +96,7 @@ def _flagged_cycles(bq: BoundQuiver) -> tuple[tuple[ForbiddenCycle, bool], ...]:
                         t not in vertices and near[t].isdisjoint(vertices[1:-1]))):
                     stack.append((path + (x,), vertices + (t,)))
     out.sort(key=lambda c: (len(c), tuple(idx[x] for x in c.arrows)))
-    return tuple((c, _is_perfect(bq, c.arrows)) for c in out)
+    return tuple(out)
 
 
 def is_perfect(bq: BoundQuiver, cycle: ForbiddenCycle) -> bool:
@@ -107,21 +104,37 @@ def is_perfect(bq: BoundQuiver, cycle: ForbiddenCycle) -> bool:
     problems = _cycle_problems(bq, cycle.arrows)
     if problems:
         raise NotForbiddenCycle("; ".join(problems))
-    return _is_perfect(bq, cycle.arrows)
-
-
-def _is_perfect(bq: BoundQuiver, arrows: tuple[str, ...]) -> bool:
-    """:func:`is_perfect` of arrows already known to form a forbidden cycle:
-    every relation partner of a cycle arrow lies on the cycle."""
-    members = set(arrows)
-    after, before = bq._relation_partners
-    return all(
-        members.issuperset(after.get(x, ())) and members.issuperset(before.get(x, ()))
-        for x in arrows
-    )
+    return perfect_index(bq).arrows.issuperset(cycle.arrows)
 
 
 def perfect_index(bq: BoundQuiver) -> PerfectIndex:
-    """The perfect forbidden cycles and their arrows, from the search's flags."""
-    cycles = tuple(c for c, perfect in bq._flagged_cycles if perfect)
-    return PerfectIndex(frozenset(x for c in cycles for x in c.arrows), cycles)
+    """The perfect forbidden cycles and their arrows, computed once per quiver."""
+    return bq._perfect_index
+
+
+def _perfect_index(bq: BoundQuiver) -> PerfectIndex:
+    """:func:`perfect_index`, as ``BoundQuiver._perfect_index``.  Each arrow
+    x of a perfect cycle has exactly one relation partner on each side, and
+    they lie on the cycle: its vertices are distinct, so one cycle arrow
+    leaves t(x).  So the perfect cycles are the cycles of x -> x's partner
+    after it, on such arrows, that pass :func:`_cycle_problems`; the walk
+    below follows each arrow once."""
+    idx = bq.arrow_index
+    after, before = bq._relation_partners
+    step = {x: ys[0] for x, ys in after.items() if len(ys) == 1 and len(before.get(x, ())) == 1}
+    seen: set[str] = set()
+    cycles: list[ForbiddenCycle] = []
+    for x in step:
+        walk: dict[str, int] = {}  # the arrows of this walk, with their positions
+        while x in step and x not in seen:
+            seen.add(x)
+            walk[x] = len(walk)
+            x = step[x]
+        if x in walk:  # the walk closed a cycle at x
+            cycle = list(walk)[walk[x]:]
+            first = min(range(len(cycle)), key=lambda i: idx[cycle[i]])
+            arrows = tuple(cycle[first:] + cycle[:first])
+            if not _cycle_problems(bq, arrows):
+                cycles.append(ForbiddenCycle(arrows))
+    cycles.sort(key=lambda c: (len(c), tuple(idx[x] for x in c.arrows)))
+    return PerfectIndex(frozenset(x for c in cycles for x in c.arrows), tuple(cycles))

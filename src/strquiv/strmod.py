@@ -6,8 +6,8 @@ of it (preceded by an inverse letter or nothing, followed by a forward
 letter or nothing); an image substring is the dual.  Pairs of a factor of
 one string and an equal image of the other index a basis of the hom space
 between their string modules (Crawley-Boevey).  ``hom_dim`` counts those
-pairs along the diagonals of the two walks and stores no occurrence, in
-time |s2|·|s1| and memory |s2| + |s1|.
+pairs along the diagonals of the two walks, visiting only the letter pairs
+that agree, and stores no occurrence.
 """
 
 from __future__ import annotations
@@ -94,19 +94,21 @@ def _letter_matches(s2: Walk, s1: Walk) -> int:
     """Pairs of a nontrivial factor of ``s2`` and an image of ``s1`` with
     the same letters.  Such a pair lies on one diagonal j - i of the two
     walks; along it, each position where both may end adds the positions
-    since the last disagreeing letter where both may start."""
+    since the last disagreeing letter where both may start.  Only the
+    agreeing letter pairs are visited, each diagonal's in order of i."""
     a, b = s2.letters, s1.letters
     f_start, f_end = _boundaries(s2, True)
     i_start, i_end = _boundaries(s1, False)
+    at: dict[Letter, list[int]] = {}
+    for j, letter in enumerate(b):
+        at.setdefault(letter, []).append(j)
+    runs: dict[int, tuple[int, int]] = {}  # diagonal -> (last i visited, starts)
     total = 0
-    for k in range(1 - len(a), len(b)):
-        starts = 0
-        for i in range(max(0, -k), min(len(a), len(b) - k)):
-            j = i + k
-            if a[i] != b[j]:
-                starts = 0
-                continue
-            starts += f_start[i] and i_start[j]
+    for i, letter in enumerate(a):
+        for j in at.get(letter, ()):
+            last, starts = runs.get(j - i, (-1, 0))
+            starts = (starts if last == i - 1 else 0) + (f_start[i] and i_start[j])
+            runs[j - i] = i, starts
             if f_end[i + 1] and i_end[j + 1]:
                 total += starts
     return total

@@ -66,17 +66,34 @@ _HEAD = "quiver\nvertices: 1 2\narrows:\n"
         (_HEAD + "  a: 1 2\n", 4, 5, "missing '->' in arrow line 'a: 1 2'"),
         (_HEAD + "  a: 1 -> x!\n", 4, 11, "bad token 'x!'"),
         (_HEAD + "  a: -> 2\n", 4, 6, "bad token ''"),
+        # separators that str.strip and the arrow-line pattern's \s both skip,
+        # and characters inside a token that neither does
+        (_HEAD + "\ta:\t1\t->\tx!\n", 4, 10, "bad token 'x!'"),
+        (_HEAD + "a: 1\r-> 2!\r\n", 4, 9, "bad token '2!'"),
+        (_HEAD + "a:\v1 -> 2\v3\n", 4, 9, "bad token '2\\x0b3'"),
+        (_HEAD + "a\x1c:\x1c1\x1c2 -> 2\n", 4, 5, "bad token '1\\x1c2'"),
+        (_HEAD + "a:\xa01 ->\xa0\xa02\xa0x\n", 4, 10, "bad token '2\\xa0x'"),
+        (_HEAD + "  a: 1\0 -> 2\n", 4, 6, "bad token '1\\x00'"),
+        (_HEAD + "  a: 1 -> 2\n  b\u00e9: 2 -> 1\n", 5, 3, "bad token 'b\u00e9'"),
     ],
     ids=[
         "no-header", "no-vertices-line", "not-quiver", "not-vertices", "no-vertex",
         "vertex-token-in-header", "bad-vertex-token", "not-arrows", "bad-relation-token",
         "no-colon", "missing-arrow", "bad-arrow-token", "empty-arrow-token",
+        "tab", "cr", "vt", "file-separator", "no-break-space", "nul-in-token",
+        "non-ascii-in-token",
     ],
 )
 def test_parse_error_position(text, line, col, message):
     with pytest.raises(ParseError) as err:
         parse_quiver(text)
     assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
+@pytest.mark.parametrize("line", ["a:\t1\t->\t2", "a:\r1\r->\r2\r", "a\v:\v1\v->\v2",
+                                  "a\x1c: 1 ->\x1c2", "\xa0a\xa0:\xa01\xa0->\xa02\xa0"])
+def test_arrow_line_separators(line):
+    assert parse_quiver(_HEAD + line + "\n").arrows == (("a", "1", "2"),)
 
 
 class TestRoundTrip:
@@ -152,6 +169,41 @@ def test_every_mutant_that_loads_writes_back(form, seed, fig1, fig5):
         for mutant in _mutants(dump(bq), rng, 150)
     )
     assert loaded > 0
+
+
+# every verb that reads a file, with the options it needs
+_FILE_VERBS = [
+    ["validate"], ["classify"], ["strings", "--max-letters", "3"], ["bands", "--find"],
+    ["reptype"], ["forbidden"], ["transform", "--R", "a"], ["cma"],
+    ["homdim", "--from", "a", "--to", "b"], ["module-string", "--projective", "1"],
+    ["module-string", "--arrow", "a"], ["verify", "--R", "a"],
+    ["verify", "--all-indices", "--cap", "2"], ["dim"], ["export-dot"],
+]
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("form", _LOADERS)
+def test_every_mutant_exits_0_1_or_2(form, seed, fig1, fig5, tmp_path, capsys):
+    """``cli.run`` on a mutated file exits 0, 1 or 2 under every verb, and a
+    nonzero exit writes exactly one stderr line and no traceback."""
+    from strquiv.cli import run
+
+    dump = _LOADERS[form][1]
+    rng = random.Random(seed)
+    path = tmp_path / f"mutant.{'json' if form == 'json' else 'quiver'}"
+    codes = set()
+    for bq in (fig1, fig5):
+        for mutant in _mutants(dump(bq), rng, 20):
+            path.write_text(mutant)
+            for verb in _FILE_VERBS:
+                code = run([verb[0], str(path), *verb[1:]])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (verb, mutant)
+                assert "Traceback" not in err
+                if code:
+                    assert err.count("\n") == 1 and err.endswith("\n"), (verb, mutant, err)
+                codes.add(code)
+    assert {1, 2} <= codes  # domain errors and parse errors both occur
 
 
 def test_an_id_with_a_trailing_newline_does_not_load():

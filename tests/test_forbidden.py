@@ -247,6 +247,36 @@ def test_pruned_search_matches_the_filtered_reference(fig1, fig5):
     assert found > 300
 
 
+def _perfect_by_enumeration(bq):
+    """Reference: the forbidden cycles each of whose arrows has every
+    relation partner on the cycle, in the search's order."""
+    after, before = bq._relation_partners
+    return tuple(
+        c for c in forbidden_cycles(bq)
+        if all(set(c.arrows).issuperset([*after.get(x, ()), *before.get(x, ())]) for x in c.arrows)
+    )
+
+
+def _perfect_index_quivers():
+    """300 seeds at each of five shapes, density 1.0 among them, and the
+    dense random quivers, whose loops and parallel arrows are no SAG's."""
+    for v, a, density in ((6, 9, 0.4), (8, 12, 0.9), (12, 18, 0.6), (20, 30, 1.0), (10, 12, 0.9)):
+        for seed in range(300):
+            yield gen_random_sag(RandomSagSpec(seed, v, a, density))
+    yield from (_dense_random_quiver(seed) for seed in range(300))
+
+
+def test_one_pass_perfect_index_matches_the_enumeration(fig1, fig5):
+    nonempty = 0
+    for bq in [fig1, fig5, *_perfect_index_quivers()]:
+        expected = _perfect_by_enumeration(bq)
+        index = perfect_index(bq)
+        assert index.cycles == expected
+        assert index.arrows == {x for c in expected for x in c.arrows}
+        nonempty += bool(expected)
+    assert nonempty > 300
+
+
 def test_dense_quiver_closes_only_forbidden_cycles(monkeypatch):
     calls = []
 
@@ -279,7 +309,8 @@ def test_forbidden_verb_builds_each_cycle_once(monkeypatch, capsys):
     built = _count_cycles_built(monkeypatch)
     assert run(["forbidden", "--json", str(FIG5)]) == 0
     assert '"perfect": true' in capsys.readouterr().out
-    assert len(built) == 2
+    # the perfect index builds its one cycle, then the search both
+    assert built == [("a", "b", "c"), ("a", "b", "c"), ("a'", "b'", "c'")]
 
 
 def test_cycles_index_and_cma_build_each_cycle_once(monkeypatch):
@@ -288,4 +319,7 @@ def test_cycles_index_and_cma_build_each_cycle_once(monkeypatch):
     assert len(forbidden_cycles(bq)) == 2
     assert perfect_index(bq).arrows == {"a", "b", "c"}
     cma(bq)
-    assert len(built) == 2
+    # the search builds both cycles, and the perfect index its one
+    assert built == [("a", "b", "c"), ("a'", "b'", "c'"), ("a", "b", "c")]
+    forbidden_cycles(bq), perfect_index(bq), cma(bq)
+    assert len(built) == 3  # a second call builds none

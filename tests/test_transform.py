@@ -408,12 +408,14 @@ def test_split_at_no_arrow_is_the_quiver_itself(fig1, fig5):
 
 
 def test_cma_reuses_the_perfect_index(monkeypatch):
-    calls = _count_calls(monkeypatch, "strquiv.forbidden", "_flagged_cycles")
+    calls = _count_calls(monkeypatch, "strquiv.forbidden", "_perfect_index")
+    searches = _count_calls(monkeypatch, "strquiv.forbidden", "_forbidden_cycles")
     bq = _fresh_fig5()
     perfect_index(bq)
     assert len(calls) == 1
     cma(bq)
     assert len(calls) == 1
+    assert not searches  # the perfect index comes from the partner table
 
 
 def _nontrivial_paths(bq: BoundQuiver) -> list[tuple[str, ...]]:

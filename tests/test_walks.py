@@ -23,6 +23,7 @@ from strquiv import (
     band_problems,
     canonical_band,
     canonical_string,
+    cma,
     enumerate_strings,
     format_quiver,
     find_band,
@@ -30,11 +31,14 @@ from strquiv import (
     is_finite_dimensional,
     parse_quiver,
     parse_walk,
+    perfect_index,
     projective_string,
     representation_type,
     string_problems,
     validate_band,
+    validate_index,
     validate_string,
+    verify_endo_dimension,
 )
 from strquiv import core, walks
 from strquiv.core import FactorAutomaton
@@ -565,11 +569,15 @@ class TestEnumerateMatchesReference:
 def _record_steps(monkeypatch):
     """Record each automaton step as (automaton, state, arrow, caller):
     the innermost of ``_product_edges`` and ``word_in_ideal`` running, or
-    None.  Both are wrapped at every module that binds them."""
-    steps, callers = [], [None]
+    None; and each call of ``_product_edges`` as (quiver, node, whether the
+    quiver had stepped the node before).  Both are wrapped at every module
+    that binds them."""
+    steps, expansions, callers = [], [], [None]
 
     def wrapped(fn):
         def inner(*args):
+            if fn.__name__ == "_product_edges":
+                expansions.append((args[0], args[1], args[1] in args[0]._product_table))
             callers.append(fn.__name__)
             try:
                 return fn(*args)
@@ -590,7 +598,7 @@ def _record_steps(monkeypatch):
         return step(automaton, state, sym)
 
     monkeypatch.setattr(FactorAutomaton, "step", counted)
-    return steps
+    return steps, expansions
 
 
 def _walker_calls(bq):
@@ -617,52 +625,83 @@ def _fresh_quivers():
     return [fig5, a50, BoundQuiver(generated.vertices, generated.arrows, generated.relations)]
 
 
+def _long_relation_quiver():
+    """The oriented 6-cycle bound by a0 a1 a2 and a3 a4: a finite-dimensional
+    string pair with a relation of length 3, so its product graphs and its
+    double quiver's step the automaton."""
+    vertices = [str(i) for i in range(6)]
+    arrows = [Arrow(f"a{i}", str(i), str((i + 1) % 6)) for i in range(6)]
+    return BoundQuiver.build(vertices, arrows, [("a0", "a1", "a2"), ("a3", "a4")])
+
+
+def test_quadratic_quivers_build_no_automaton(monkeypatch):
+    built = []
+    init = FactorAutomaton.__init__
+
+    def counted(automaton, words):
+        built.append(automaton)
+        init(automaton, words)
+
+    monkeypatch.setattr(FactorAutomaton, "__init__", counted)
+    for bq in _fresh_quivers():
+        assert is_finite_dimensional(bq)
+        algebra_dim(bq), representation_type(bq), enumerate_strings(bq, 6)
+        index = perfect_index(bq).arrows
+        cma(bq)
+        # the index, and one left forbidden arrow outside it: its split
+        # quiver A_R is searched too
+        others = sorted(bq.left_forbidden_arrows - index, key=bq.arrow_index.get)[:1]
+        for arrows in (index, others):
+            verify_endo_dimension(bq, validate_index(bq, arrows))
+    assert built == []
+
+
 def test_each_product_node_is_stepped_once_per_quiver(monkeypatch):
-    steps = _record_steps(monkeypatch)
+    steps, expansions = _record_steps(monkeypatch)
     outputs = {}
     for order in (1, -1):
         outputs[order] = []
-        for bq in _fresh_quivers():
+        for bq in [*_fresh_quivers(), _long_relation_quiver()]:
             steps.clear()
+            expansions.clear()
             results = {}
             for name, call in list(_walker_calls(bq).items())[::order]:
-                before = len(steps)
+                before = len(expansions)
                 results[name] = call()
                 if name == "algebra_dim" and order == 1:
                     # it counts over the nodes the finiteness search stepped
-                    assert len(steps) == before
-            # only _product_edges steps from a product node; word_in_ideal
-            # steps the words that find_band validates
-            assert all(caller is not None for *_, caller in steps)
-            stepped = [s[:3] for s in steps if s[3] == "_product_edges"]
-            assert stepped and len(set(stepped)) == len(stepped)
+                    assert all(seen for *_, seen in expansions[before:])
+            # each node of each product graph is expanded the first time
+            # _product_edges meets it, and read from its table after
+            firsts = [(q, node) for q, node, seen in expansions if not seen]
+            assert firsts and len(set(firsts)) == len(firsts)
+            if all(len(r) == 2 for r in bq.relations):
+                assert not steps  # the partner table steps a quadratic quiver
+            else:
+                # only _product_edges steps from a product node; word_in_ideal
+                # reads whole words
+                assert all(caller == "_product_edges" for *_, caller in steps)
+                stepped = [s[:3] for s in steps]
+                assert stepped and len(set(stepped)) == len(stepped)
             outputs[order].append(results)
     assert outputs[1] == outputs[-1]
 
 
 def test_each_node_is_expanded_once(monkeypatch):
-    calls = []
-    expand = walks._product_edges
-
-    def counted(bq, node):
-        calls.append((node, node in bq._product_table))
-        return expand(bq, node)
-
-    steps = []
-    step = FactorAutomaton.step
-
-    def stepped(automaton, state, sym):
-        steps.append((automaton, state, sym))
-        return step(automaton, state, sym)
-
-    monkeypatch.setattr(walks, "_product_edges", counted)
-    monkeypatch.setattr(FactorAutomaton, "step", stepped)
+    steps, expansions = _record_steps(monkeypatch)
     spec = RandomSagSpec(seed=3, num_vertices=100, num_arrows=150, relation_density=0.4)
-    enumerate_strings(gen_random_sag(spec), 10)
-    # a node's edges are stepped the first time it is met and read after
-    expansions = [node for node, seen in calls if not seen]
-    assert 0 < len(expansions) == len(set(expansions))
-    assert steps and len(set(steps)) == len(steps)
+    for bq in (gen_random_sag(spec), _long_relation_quiver()):
+        steps.clear()
+        expansions.clear()
+        enumerate_strings(bq, 10)
+        # a node's edges are stepped the first time it is met and read after
+        firsts = [node for q, node, seen in expansions if not seen]
+        assert 0 < len(firsts) == len(set(firsts))
+        assert all(q is bq._double for q, *_ in expansions)
+        if bq.relations[0] == ("a0", "a1", "a2"):
+            assert steps and len({s[:3] for s in steps}) == len(steps)
+        else:
+            assert not steps
 
 
 def _uncapped_product_cycle(bq):
