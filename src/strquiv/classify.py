@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import BoundQuiver
+from .core import BoundQuiver, _per_quiver
 
 
 class Classification(NamedTuple):
@@ -56,13 +56,10 @@ def check_s2(bq: BoundQuiver) -> list[tuple[str, str]]:
     return _continuation_witnesses(bq)[0]
 
 
+@_per_quiver
 def classify(bq: BoundQuiver) -> Classification:
-    """The axioms ``bq`` satisfies, with a witness for each one it fails."""
-    return bq.classification
-
-
-def _classification(bq: BoundQuiver) -> Classification:
-    """Compute :attr:`BoundQuiver.classification`; the property caches it."""
+    """The axioms ``bq`` satisfies, with a witness for each one it fails,
+    computed once per quiver."""
     s1 = check_s1(bq)
     s2, gentle = _continuation_witnesses(bq)
     long_rels = [rel for rel in bq.relations if len(rel) != 2]

@@ -10,8 +10,8 @@ all have length 2, the relation-partner table gives the product's edges.
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from functools import cached_property, wraps
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
     DanglingEndpoint,
@@ -21,10 +21,6 @@ from .errors import (
     NonComposableRelation,
     RelationTooShort,
 )
-
-if TYPE_CHECKING:
-    from .classify import Classification
-    from .forbidden import ForbiddenCycle, PerfectIndex
 
 # product-graph nodes (vertex, automaton state); only _product_edges steps one
 _ProductNode = tuple[str, int]
@@ -152,7 +148,8 @@ class BoundQuiver(Frozen):
     relation set to factor-minimal generators.  Quivers derived from a built
     one (the double quiver, the split quiver, the generator's) use the plain
     constructor; tests check that :meth:`build` leaves them unchanged.  The
-    instance ``__dict__`` holds the fields and the cached properties.
+    instance ``__dict__`` holds the fields, the cached properties and the
+    facts of :func:`_per_quiver`.
     """
 
     _fields = ("vertices", "arrows", "relations")
@@ -265,11 +262,6 @@ class BoundQuiver(Frozen):
         return {x: i for i, x in enumerate(after, 1)}, [(), *after.values()]
 
     @cached_property
-    def left_forbidden_arrows(self) -> frozenset[str]:
-        """Arrows that head a length-2 relation."""
-        return frozenset(self._relation_partners[0])
-
-    @cached_property
     def _product_dfs(self) -> tuple[tuple | None, list[_ProductNode]]:
         """:func:`depth_first` of this quiver, run once."""
         return depth_first(self)
@@ -284,39 +276,21 @@ class BoundQuiver(Frozen):
         """Arrows of the first relation-free oriented cycle found, or None."""
         return self._product_dfs[0]
 
-    @cached_property
-    def _double(self) -> "BoundQuiver":
-        """The double quiver: letter ``2*i`` runs along arrow ``i`` and
-        ``2*i + 1`` against it, every forward letter declared before every
-        inverse one, the order in which ``find_band`` breaks ties.  Its
-        relations are the relations, their inverses and the backtracks, so
-        its relation-free paths are the nontrivial strings."""
-        idx = self.arrow_index
-        letters = [Arrow(2 * i, a.source, a.target) for i, a in enumerate(self.arrows)]
-        letters += [Arrow(2 * i + 1, a.target, a.source) for i, a in enumerate(self.arrows)]
-        rels = [tuple([2 * idx[x] for x in r]) for r in self.relations]
-        rels += [tuple([k + 1 for k in reversed(r)]) for r in rels]
-        rels += [(k, k ^ 1) for k in range(2 * len(self.arrows))]
-        # the words compose, and they are factor-minimal since the relations are
-        return BoundQuiver(self.vertices, tuple(letters), tuple(rels))
 
-    @cached_property
-    def classification(self) -> "Classification":
-        from .classify import _classification  # classify imports this module
+def _per_quiver(fact: Callable) -> Callable:
+    """Cache ``fact(bq)`` in the quiver's instance ``__dict__``, as
+    ``cached_property`` does, so that the module owning a derived fact
+    computes it once per quiver."""
+    key = f"{fact.__module__}.{fact.__qualname__}"
 
-        return _classification(self)
+    @wraps(fact)
+    def cached(bq: BoundQuiver):
+        facts = vars(bq)
+        if key not in facts:
+            facts[key] = fact(bq)
+        return facts[key]
 
-    @cached_property
-    def _forbidden_cycles(self) -> "tuple[ForbiddenCycle, ...]":
-        from .forbidden import _forbidden_cycles  # forbidden imports this module
-
-        return _forbidden_cycles(self)
-
-    @cached_property
-    def _perfect_index(self) -> "PerfectIndex":
-        from .forbidden import _perfect_index
-
-        return _perfect_index(self)
+    return cached
 
 
 def in_ideal(bq: BoundQuiver, p: Path) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import BoundQuiver
+from .core import BoundQuiver, _per_quiver
 from .errors import NotForbiddenCycle
 
 
@@ -30,7 +30,7 @@ class PerfectIndex(NamedTuple):
 
 def left_forbidden_arrows(bq: BoundQuiver) -> set[str]:
     """Arrows that head a length-2 relation: alpha with alpha·beta in the ideal."""
-    return set(bq.left_forbidden_arrows)
+    return set(bq._relation_partners[0])
 
 
 def _cycle_problems(bq: BoundQuiver, arrows: tuple[str, ...]) -> list[str]:
@@ -64,23 +64,46 @@ def _cycle_problems(bq: BoundQuiver, arrows: tuple[str, ...]) -> list[str]:
 
 def forbidden_cycles(bq: BoundQuiver) -> list[ForbiddenCycle]:
     """All forbidden cycles, canonically rotated, in deterministic order."""
-    return list(bq._forbidden_cycles)
+    return list(_forbidden_cycles(bq))
 
 
+def _on_relation_cycles(succs: dict[str, list[str]], preds: dict[str, list[str]]) -> set[str]:
+    """The arrows left after repeatedly dropping each arrow with no remaining
+    relation partner on one side.  Each arrow of a cycle of relations has a
+    partner on each side on the cycle, so none of them is dropped."""
+    live = succs.keys() & preds.keys()
+    dropped = list(succs.keys() ^ preds.keys())
+    before = {x: len(ws) for x, ws in preds.items()}  # partners left on each side
+    after = {x: len(ys) for x, ys in succs.items()}
+    for x in dropped:  # the list grows while it is read
+        # dropping x takes a partner before from each arrow after it, and dually
+        for partners, remaining in ((succs, before), (preds, after)):
+            for y in partners.get(x, ()):
+                remaining[y] -= 1
+                if not remaining[y] and y in live:
+                    live.remove(y)
+                    dropped.append(y)
+    return live
+
+
+@_per_quiver
 def _forbidden_cycles(bq: BoundQuiver) -> tuple[ForbiddenCycle, ...]:
-    """:func:`forbidden_cycles`; run once per quiver, as
-    ``BoundQuiver._forbidden_cycles``."""
+    """:func:`forbidden_cycles`, run once per quiver.  The search starts
+    from and steps onto only the arrows that may lie on a cycle of
+    relations, so a chain of relations that closes no cycle costs one pass."""
     idx = bq.arrow_index
     succs, preds = bq._relation_partners
+    live = _on_relation_cycles(succs, preds)
+    succs = {x: [y for y in ys if y in live] for x, ys in succs.items() if x in live}
     # the vertices joined by an arrow to each vertex that a path can step onto
     near = {v: {a.source for a in bq.in_arrows[v]} | {a.target for a in bq.out_arrows[v]}
-            for v in {bq.arrow_by_id[b].target for b in preds}}
+            for v in {bq.arrow_by_id[x].target for x in live}}
     out: list[ForbiddenCycle] = []
     # Each cycle of relations on distinct vertices is met once, from its
     # first-declared arrow, which makes it canonically rotated already.  A
     # path grows only onto a fresh vertex joined to no inner path vertex and,
     # once its end is joined to its start, may only close: it closes chordless.
-    for first in succs:  # each heads a relation; the sort below fixes the order
+    for first in succs:  # each may lie on a cycle; the sort below fixes the order
         start, end = bq.arrow_by_id[first].source, bq.arrow_by_id[first].target
         stack = [((first,), (start, end))]
         while stack:
@@ -107,18 +130,14 @@ def is_perfect(bq: BoundQuiver, cycle: ForbiddenCycle) -> bool:
     return perfect_index(bq).arrows.issuperset(cycle.arrows)
 
 
+@_per_quiver
 def perfect_index(bq: BoundQuiver) -> PerfectIndex:
-    """The perfect forbidden cycles and their arrows, computed once per quiver."""
-    return bq._perfect_index
-
-
-def _perfect_index(bq: BoundQuiver) -> PerfectIndex:
-    """:func:`perfect_index`, as ``BoundQuiver._perfect_index``.  Each arrow
-    x of a perfect cycle has exactly one relation partner on each side, and
-    they lie on the cycle: its vertices are distinct, so one cycle arrow
-    leaves t(x).  So the perfect cycles are the cycles of x -> x's partner
-    after it, on such arrows, that pass :func:`_cycle_problems`; the walk
-    below follows each arrow once."""
+    """The perfect forbidden cycles and their arrows, computed once per
+    quiver.  Each arrow x of a perfect cycle has exactly one relation
+    partner on each side, and they lie on the cycle: its vertices are
+    distinct, so one cycle arrow leaves t(x).  So the perfect cycles are the
+    cycles of x -> x's partner after it, on such arrows, that pass
+    :func:`_cycle_problems`; the walk below follows each arrow once."""
     idx = bq.arrow_index
     after, before = bq._relation_partners
     step = {x: ys[0] for x, ys in after.items() if len(ys) == 1 and len(before.get(x, ())) == 1}

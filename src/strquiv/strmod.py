@@ -7,10 +7,14 @@ letter or nothing); an image substring is the dual.  Pairs of a factor of
 one string and an equal image of the other index a basis of the hom space
 between their string modules (Crawley-Boevey).  ``hom_dim`` counts those
 pairs along the diagonals of the two walks, visiting only the letter pairs
-that agree, and stores no occurrence.
+that agree, and matches the trivial pairs through one count of vertices.
+So it takes time |s2| + |s1| plus the number of agreeing letter pairs, and
+it stores no occurrence.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .core import BoundQuiver, _product_edges, require_finite
 from .errors import InvalidWalk, UnknownArrow, UnknownVertex
@@ -125,6 +129,6 @@ def hom_dim(bq: BoundQuiver, s2: Walk, s1: Walk) -> int:
         problems = string_problems(bq, w)
         if problems:
             raise InvalidWalk("; ".join(problems))
-    images = _trivial_vertices(bq, s1, False)
-    trivial = sum(images.count(v) for v in _trivial_vertices(bq, s2, True))
+    images = Counter(_trivial_vertices(bq, s1, False))
+    trivial = sum(images[v] for v in _trivial_vertices(bq, s2, True))
     return trivial + _letter_matches(s2, s1) + _letter_matches(s2, s1.inverse())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
+from .classify import classify
 from .core import Arrow, BoundQuiver, _paths_into, _product_edges, algebra_dim, require_finite
 from .errors import DuplicateId, InvalidWalk, NotLeftForbidden, NotSAG, UnknownArrow
 from .forbidden import perfect_index
@@ -44,7 +45,7 @@ def validate_index(bq: BoundQuiver, arrows) -> RIndex:
     for x in arrows:
         if x not in bq.arrow_by_id:
             raise UnknownArrow(f"unknown arrow {x!r}")
-        if x not in bq.left_forbidden_arrows:
+        if x not in bq._relation_partners[0]:  # heads no length-2 relation
             raise NotLeftForbidden(x)
     return RIndex(tuple(sorted(set(arrows), key=lambda x: bq.arrow_index[x])))
 
@@ -130,8 +131,9 @@ def lift_walk(tr: TransformResult, w: Walk | CyclicWalk) -> Walk | CyclicWalk:
 
 
 def _require_sag_finite(bq: BoundQuiver) -> None:
-    if not bq.classification.is_sag:
-        raise NotSAG(bq.classification.violations)
+    c = classify(bq)
+    if not c.is_sag:
+        raise NotSAG(c.violations)
     require_finite(bq)
 
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 from itertools import groupby
 from typing import NamedTuple
 
-from .core import BoundQuiver, Frozen, _product_edges, require_finite, word_in_ideal
+from .classify import classify
+from .core import (Arrow, BoundQuiver, Frozen, _per_quiver, _product_edges, require_finite,
+                   word_in_ideal)
 from .errors import NotStringPair, UnknownArrow
 
 
@@ -94,7 +96,7 @@ class CyclicWalk(Frozen):
 
 
 def _require_string_pair(bq: BoundQuiver) -> None:
-    c = bq.classification
+    c = classify(bq)
     if not c.is_string:
         # the (S1) and (S2) witnesses; relation length is not a string-pair axiom
         raise NotStringPair(tuple(v for v in c.violations if v[0] != "relation-length"))
@@ -192,11 +194,29 @@ def canonical_band(bq: BoundQuiver, cw: CyclicWalk) -> CyclicWalk:
 
 
 # ---------------------------------------------------------------------------
-# Run starts of the double quiver (``BoundQuiver._double``)
+# The double quiver and its run starts
 #
 # The paths of its product graph from the node after a single letter spell
 # the nontrivial strings.  A relation lies inside one run, so each node
 # after a change of direction is one of these run starts.
+
+
+@_per_quiver
+def _double(bq: BoundQuiver) -> BoundQuiver:
+    """The double quiver, built once per quiver: letter ``2*i`` runs along
+    arrow ``i`` and ``2*i + 1`` against it, so ``k ^ 1`` inverts letter
+    ``k``, and every forward letter is declared before every inverse one,
+    the order in which ``find_band`` breaks ties.  Its relations are the
+    relations, their inverses and the backtracks, so its relation-free
+    paths are the nontrivial strings."""
+    idx = bq.arrow_index
+    letters = [Arrow(2 * i, a.source, a.target) for i, a in enumerate(bq.arrows)]
+    letters += [Arrow(2 * i + 1, a.target, a.source) for i, a in enumerate(bq.arrows)]
+    rels = [tuple([2 * idx[x] for x in r]) for r in bq.relations]
+    rels += [tuple([k + 1 for k in reversed(r)]) for r in rels]
+    rels += [(k, k ^ 1) for k in range(2 * len(bq.arrows))]
+    # the words compose, and they are factor-minimal since the relations are
+    return BoundQuiver(bq.vertices, tuple(letters), tuple(rels))
 
 
 def _letter_table(bq: BoundQuiver) -> list[Letter]:
@@ -207,7 +227,7 @@ def _letter_table(bq: BoundQuiver) -> list[Letter]:
 def _run_starts(bq: BoundQuiver) -> list[tuple[int, tuple[str, int]]]:
     """Each letter id with the product node its single letter reaches, in
     letter-key order."""
-    w = bq._double
+    w = _double(bq)
     return sorted(edge for v in w.vertices for edge in _product_edges(w, (v, 0)))
 
 
@@ -229,7 +249,7 @@ def enumerate_strings(bq: BoundQuiver, max_letters: int) -> list[Walk]:
     never equals its inverse, which would need a backtrack in the middle.
     """
     _require_string_pair(bq)
-    w, table = bq._double, _letter_table(bq)
+    w, table = _double(bq), _letter_table(bq)
     # each stepped node's edges in letter-id order: (inverse letter id, letter, next node)
     steps: dict[tuple[str, int], list[tuple[int, tuple[Letter], tuple[str, int]]]] = {}
     strings = [Walk((), v) for v in bq.vertices]
@@ -270,7 +290,7 @@ def _find_product_cycle(bq: BoundQuiver, cap: int) -> list[Letter] | None:
     """Shortest letter cycle of at most ``cap`` letters through a run start,
     the earliest one on ties, or None.  Each BFS stops after ``cap`` levels,
     and a cycle found lowers the cap below its length."""
-    w = bq._double
+    w = _double(bq)
     best: list[int] | None = None
     for first, init in _run_starts(bq):
         # each reached node with its predecessor and the letter between them
@@ -312,7 +332,7 @@ def _band_cycle(bq: BoundQuiver) -> tuple[int, ...] | None:
     """Letter ids of the double quiver's first relation-free cycle, or None."""
     _require_string_pair(bq)
     require_finite(bq)
-    return bq._double.relation_free_cycle
+    return _double(bq).relation_free_cycle
 
 
 def band_exists(bq: BoundQuiver) -> bool:

@@ -16,6 +16,7 @@ from strquiv import (
     format_quiver,
     format_walk,
     gen_random_sag,
+    left_forbidden_arrows,
     parse_quiver,
     perfect_index,
 )
@@ -210,7 +211,7 @@ def _pinned_runs(tmp_path):
         v, w = bq.vertices[:2]
         left, index = (
             ",".join(sorted(arrows, key=bq.arrow_index.__getitem__))
-            for arrows in (bq.left_forbidden_arrows, perfect_index(bq).arrows)
+            for arrows in (left_forbidden_arrows(bq), perfect_index(bq).arrows)
         )
         out = str(tmp_path / "out")
         argvs = [

@@ -1,3 +1,4 @@
+import ast
 import random
 from pathlib import Path as FilePath
 
@@ -20,9 +21,11 @@ from strquiv import (
     gen_random_sag,
     in_ideal,
     is_finite_dimensional,
+    left_forbidden_arrows,
     parse_quiver,
 )
 from strquiv.core import FactorAutomaton
+from strquiv.walks import _double
 
 
 def chain(n, relations=()):
@@ -201,7 +204,7 @@ def test_infinite_dimensional_names_the_cycle():
 def test_infinite_dimensional_names_a_cycle_of_int_letters(fig5):
     # fig5 has a band, so its double quiver, whose letters are ints, has a
     # relation-free cycle
-    double = fig5._double
+    double = _double(fig5)
     cycle = " ".join(map(str, double.relation_free_cycle))
     with pytest.raises(InfiniteDimensional, match=f"cycle exists: {cycle}$"):
         algebra_dim(double)
@@ -258,7 +261,7 @@ def test_relation_pairs_decide_two_arrow_membership(seed):
             assert (b.id in after.get(a.id, ()), a.id in before.get(b.id, ())) == (member, member)
             if member:
                 heads.add(a.id)
-    assert bq.left_forbidden_arrows == heads
+    assert left_forbidden_arrows(bq) == heads
 
 
 def test_enumerate_paths_come_in_length_and_declaration_order(fig1, fig5):
@@ -317,3 +320,15 @@ def test_dimension_counts_over_the_edges_the_search_stepped(monkeypatch):
         assert sorted(stepped) == sorted(bq._product_dfs[1])
         assert sorted(bq._product_table) == sorted(stepped)
         assert dim == sum(len(enumerate_paths(bq, s, t)) for s in bq.vertices for t in bq.vertices)
+
+
+def test_core_imports_no_module_of_the_package_but_errors():
+    # core is the bottom layer: classify, forbidden and walks own and cache
+    # the facts they derive, so core reads none of them, not even lazily
+    tree = ast.parse(FilePath(core.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    relative = [node.module for node in imports if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative == ["errors"]
+    absolute = [alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names]
+    absolute += [node.module for node in imports if isinstance(node, ast.ImportFrom) and not node.level]
+    assert not [name for name in absolute if name.split(".")[0] == "strquiv"]

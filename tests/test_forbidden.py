@@ -237,9 +237,27 @@ def _pruned_search_quivers():
             )
 
 
+def _chain_and_cycle(feeds_in):
+    """The 3-cycle x y z bound by its three relations, and a chain of five
+    arrows bound by its four, joined by one more relation: d4 x when the
+    chain runs into the cycle, z d0 when it leaves it."""
+    cycle = [Arrow("x", "c0", "c1"), Arrow("y", "c1", "c2"), Arrow("z", "c2", "c0")]
+    ends = [f"v{i}" for i in range(6)]
+    ends[-1 if feeds_in else 0] = "c0"
+    chain = [Arrow(f"d{i}", ends[i], ends[i + 1]) for i in range(5)]
+    relations = [("x", "y"), ("y", "z"), ("z", "x"), *((f"d{i}", f"d{i + 1}") for i in range(4))]
+    relations.append(("d4", "x") if feeds_in else ("z", "d0"))
+    vertices = ["c0", "c1", "c2", *(v for v in ends if v != "c0")]
+    return BoundQuiver.build(vertices, cycle + chain, relations)
+
+
 def test_pruned_search_matches_the_filtered_reference(fig1, fig5):
+    joined = [_chain_and_cycle(True), _chain_and_cycle(False)]
+    for bq in joined:
+        # the chain's arrows are trimmed before the search, the cycle's are not
+        assert [c.arrows for c in forbidden_cycles(bq)] == [("x", "y", "z")]
     found = 0
-    for bq in [fig1, fig5, *_pruned_search_quivers()]:
+    for bq in [fig1, fig5, *joined, *_pruned_search_quivers()]:
         cycles = forbidden_cycles(bq)
         assert cycles == _filtered_cycles(bq)
         assert perfect_index(bq).cycles == tuple(c for c in cycles if is_perfect(bq, c))

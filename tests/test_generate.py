@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 
 import pytest
 
@@ -71,13 +72,19 @@ def test_output_is_unchanged_by_build(vertices, arrows):
             assert classify(bq).is_sag and is_finite_dimensional(bq), spec
 
 
-def test_output_is_neither_classified_nor_searched():
-    # SAG and finite by construction: the generator computes neither fact
-    # on the quiver it returns
+def test_output_is_neither_classified_nor_searched(monkeypatch):
+    # SAG and finite by construction: the generator classifies no quiver,
+    # and it runs no product-graph search on the quiver it returns
+    classified = []
+    module = importlib.import_module("strquiv.classify")
+    monkeypatch.setattr(module, "check_s1", lambda bq: classified.append(bq) or [])
     bq = gen_random_sag(RandomSagSpec(seed=3, num_vertices=20, num_arrows=30))
+    assert not classified
     cached = vars(bq)
-    assert "classification" not in cached and "_product_dfs" not in cached
+    assert "_product_dfs" not in cached
     assert not cached.get("_product_table")
+    classify(bq)
+    assert classified == [bq]  # the spy sees a classification
 
 
 def test_density_extremes():

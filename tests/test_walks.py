@@ -23,12 +23,14 @@ from strquiv import (
     band_problems,
     canonical_band,
     canonical_string,
+    classify,
     cma,
     enumerate_strings,
     format_quiver,
     find_band,
     gen_random_sag,
     is_finite_dimensional,
+    left_forbidden_arrows,
     parse_quiver,
     parse_walk,
     perfect_index,
@@ -44,6 +46,7 @@ from strquiv import core, walks
 from strquiv.core import FactorAutomaton
 from strquiv.walks import (
     _band_cycle,
+    _double,
     _find_product_cycle,
     _primitive_root,
     _walk_key,
@@ -538,7 +541,7 @@ def _random_string_pair(seed):
             paths = [p + (nxt[p[-1]],) for p in paths if p[-1] in nxt]
             relations += [[a.id for a in p] for p in paths if rng.random() < 0.3]
         bq = BoundQuiver.build(vertices, arrows, relations)
-        assert bq.classification.is_string
+        assert classify(bq).is_string
         if is_finite_dimensional(bq):
             return bq
 
@@ -650,7 +653,7 @@ def test_quadratic_quivers_build_no_automaton(monkeypatch):
         cma(bq)
         # the index, and one left forbidden arrow outside it: its split
         # quiver A_R is searched too
-        others = sorted(bq.left_forbidden_arrows - index, key=bq.arrow_index.get)[:1]
+        others = sorted(left_forbidden_arrows(bq) - index, key=bq.arrow_index.get)[:1]
         for arrows in (index, others):
             verify_endo_dimension(bq, validate_index(bq, arrows))
     assert built == []
@@ -697,7 +700,7 @@ def test_each_node_is_expanded_once(monkeypatch):
         # a node's edges are stepped the first time it is met and read after
         firsts = [node for q, node, seen in expansions if not seen]
         assert 0 < len(firsts) == len(set(firsts))
-        assert all(q is bq._double for q, *_ in expansions)
+        assert all(q is _double(bq) for q, *_ in expansions)
         if bq.relations[0] == ("a0", "a1", "a2"):
             assert steps and len({s[:3] for s in steps}) == len(steps)
         else:
@@ -785,20 +788,20 @@ def _rebuilt(w):
 @pytest.mark.parametrize("name", ["fig1", "fig5"])
 def test_double_quiver_passes_validation(request, name):
     bq = request.getfixturevalue(name)
-    assert _rebuilt(bq._double) == bq._double
+    assert _rebuilt(_double(bq)) == _double(bq)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_generated_double_quivers_pass_validation(seed):
     for bq in (_random_string_pair(seed), gen_random_sag(RandomSagSpec(seed=seed))):
-        assert _rebuilt(bq._double) == bq._double
+        assert _rebuilt(_double(bq)) == _double(bq)
 
 
 def _finite_type_count(bq):
     """(dim W + |Q0|)/2 for the double quiver W, checked against enumeration:
     W's nontrivial paths are the nontrivial strings, each class twice."""
     assert representation_type(bq) == "finite"
-    dim_w = algebra_dim(bq._double)
+    dim_w = algebra_dim(_double(bq))
     assert (dim_w - len(bq.vertices)) % 2 == 0
     count = (dim_w + len(bq.vertices)) // 2
     assert count == len(enumerate_strings(bq, dim_w))
