@@ -378,9 +378,8 @@ def test_product_graph_is_searched_once_per_quiver(monkeypatch):
     assert len(calls) == 1
 
 
-def test_verify_counts_the_source_paths_once_at_the_empty_index(monkeypatch):
-    """At R = ∅ the split quiver is the quiver itself, whose paths the left
-    side has just counted; at {a} the split quiver is counted as well."""
+def test_verify_counts_the_source_paths_in_one_pass(monkeypatch):
+    """Both sides come from one count of A's paths, at R = ∅ and at {a}."""
     calls = []
     for name in ("strquiv.core", "strquiv.transform"):
         module = importlib.import_module(name)
@@ -390,14 +389,67 @@ def test_verify_counts_the_source_paths_once_at_the_empty_index(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(module, "_paths_into", counted)
-    for arrows, count in (([], 1), (["a"], 2)):
+    for arrows in ([], ["a"]):
         calls.clear()
         bq = _fresh_fig5()
         report = verify_endo_dimension(bq, validate_index(bq, arrows))
-        assert len(calls) == count
+        assert len(calls) == 1 and calls[0][0] is bq
         assert report.dimensions_match
         if not arrows:
             assert report.dim_transformed == algebra_dim(bq) == 27
+
+
+@pytest.mark.parametrize("make", [_fresh_fig5, lambda: gen_random_sag(RandomSagSpec(0, 20, 30, 0.4))],
+                         ids=["fig5", "gen-20-30"])
+def test_verify_splits_no_quiver_until_the_result_is_read(monkeypatch, make):
+    bq = make()  # generating steps the product graphs of other quivers
+    splits = _count_calls(monkeypatch, "strquiv.transform", "_split_quiver")
+    stepped = []
+    for name in ("strquiv.core", "strquiv.transform"):
+        module = importlib.import_module(name)
+
+        def spied(bq, node, original=module._product_edges):
+            stepped.append(bq)
+            return original(bq, node)
+
+        monkeypatch.setattr(module, "_product_edges", spied)
+    index = validate_index(bq, sorted(left_forbidden_arrows(bq), key=bq.arrow_index.get)[:3])
+    assert len(index.arrows) == 3
+    report = verify_endo_dimension(bq, index)
+    assert not splits
+    assert stepped and all(q is bq for q in stepped)
+    result = report.result
+    assert len(splits) == 1
+    assert result == r_transform(bq, index) and result.quiver is not bq
+    assert report.result is result and len(splits) == 2  # the second is r_transform's
+
+
+def _subsets(arrows: list[str], rng: random.Random, cap: int = 64):
+    """Every subset of ``arrows``, or ``cap`` distinct ones drawn at random
+    when there are more."""
+    masks = range(1 << len(arrows))
+    if len(masks) > cap:
+        masks = rng.sample(masks, cap)
+    return [[x for i, x in enumerate(arrows) if mask >> i & 1] for mask in masks]
+
+
+def test_transformed_dimension_counts_the_split_quiver(fig5):
+    """dim A_R read off A's product graph equals the path count of the
+    split quiver, on every subset of left forbidden arrows, up to 64 per
+    quiver; the subsets include some at which the identity fails."""
+    quivers = [fig5] + [gen_random_sag(RandomSagSpec(s, 6, 9, 0.5)) for s in range(40)] + [
+        gen_random_sag(RandomSagSpec(s, 8, 12, 0.8)) for s in range(40)]
+    rng = random.Random(12)
+    checked = mismatched = 0
+    for bq in quivers:
+        lf = sorted(left_forbidden_arrows(bq), key=bq.arrow_index.get)
+        for subset in _subsets(lf, rng):
+            index = validate_index(bq, subset)
+            report = verify_endo_dimension(bq, index)
+            assert report.dim_transformed == algebra_dim(r_transform(bq, index).quiver), subset
+            checked += 1
+            mismatched += not report.dimensions_match
+    assert checked > 2000 and mismatched > 100
 
 
 def test_split_at_no_arrow_is_the_quiver_itself(fig1, fig5):
