@@ -172,7 +172,7 @@ def _verify(bq, args):
             message = f"--all-indices on {len(left)} left forbidden arrows needs --cap"
             raise ArgumentError(None, message)
         count = 1 << len(left) if args.cap is None else min(1 << len(left), args.cap)
-        subsets = ([x for i, x in enumerate(left) if (mask >> i) & 1] for mask in range(count))
+        subsets = ([left[i] for i in range(mask.bit_length()) if mask >> i & 1] for mask in range(count))
     else:
         subsets = [_split_index(args.R or "")]
     # only each report's numbers are kept, so no split algebra outlives the next subset

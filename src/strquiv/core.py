@@ -308,8 +308,15 @@ def in_ideal(bq: BoundQuiver, p: Path) -> bool:
 def word_in_ideal(bq: BoundQuiver, word: tuple[str, ...]) -> tuple[str, ...] | None:
     """The relation that ends earliest in ``word``, or None.  It is unique:
     of two relations ending at one letter, one is a factor of the other, and
-    the relations are factor-minimal, so no failure link leads to another."""
-    return bq.automaton.first_factor(word)
+    the relations are factor-minimal, so no failure link leads to another.
+    A quadratic quiver reads its partner table and builds no automaton."""
+    if bq._quadratic_states is None:
+        return bq.automaton.first_factor(word)
+    after = bq._relation_partners[0]
+    for x, y in zip(word, word[1:]):
+        if y in after.get(x, ()):
+            return x, y
+    return None
 
 
 def depth_first(bq: BoundQuiver) -> tuple[tuple | None, list[_ProductNode]]:

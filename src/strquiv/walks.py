@@ -6,11 +6,14 @@ avoid the ideal; a band is a primitive cyclic string all of whose powers
 remain strings.  Equivalence is inversion for strings, rotation plus
 inversion for bands.
 
-The strings are the relation-free paths of the double quiver, which has a
-letter per arrow and direction and takes the relations, their inverses and
-the backtracks as its relations.  So one product graph serves both:
-enumeration walks its paths, and a band exists iff it has a relation-free
-cycle.
+The strings are the relation-free paths of the double quiver W, which has
+a letter per arrow and direction and takes the relations, their inverses
+and the backtracks as its relations.  So one graph, W's product graph with
+integer nodes, serves both: enumeration walks its paths, and a band exists
+iff it has a cycle.  Every letter of W heads a backtrack relation, so on a
+quadratic quiver, one whose relations all have length 2, the graph is W's
+letter graph, stepped from the quiver's relation partners with no W built;
+any other quiver numbers the product nodes of W.
 """
 
 from __future__ import annotations
@@ -194,21 +197,23 @@ def canonical_band(bq: BoundQuiver, cw: CyclicWalk) -> CyclicWalk:
 
 
 # ---------------------------------------------------------------------------
-# The double quiver and its run starts
+# W's letter graph
 #
-# The paths of its product graph from the node after a single letter spell
+# The paths of W's product graph from the node after a single letter spell
 # the nontrivial strings.  A relation lies inside one run, so each node
 # after a change of direction is one of these run starts.
 
 
 @_per_quiver
 def _double(bq: BoundQuiver) -> BoundQuiver:
-    """The double quiver, built once per quiver: letter ``2*i`` runs along
+    """The double quiver W, built once per quiver: letter ``2*i`` runs along
     arrow ``i`` and ``2*i + 1`` against it, so ``k ^ 1`` inverts letter
     ``k``, and every forward letter is declared before every inverse one,
     the order in which ``find_band`` breaks ties.  Its relations are the
     relations, their inverses and the backtracks, so its relation-free
-    paths are the nontrivial strings."""
+    paths are the nontrivial strings.  Only a quiver with a relation of
+    length 3 or more builds it, and :func:`_letter_graph` numbers its
+    product nodes; a quadratic quiver's letter graph needs no W."""
     idx = bq.arrow_index
     letters = [Arrow(2 * i, a.source, a.target) for i, a in enumerate(bq.arrows)]
     letters += [Arrow(2 * i + 1, a.target, a.source) for i, a in enumerate(bq.arrows)]
@@ -219,16 +224,67 @@ def _double(bq: BoundQuiver) -> BoundQuiver:
     return BoundQuiver(bq.vertices, tuple(letters), tuple(rels))
 
 
-def _letter_table(bq: BoundQuiver) -> list[Letter]:
-    """The letter of each double-quiver letter id."""
-    return [Letter(a.id, inv) for a in bq.arrows for inv in (False, True)]
+class _LetterGraph(NamedTuple):
+    """W's product graph on integer nodes, less its ``(v, 0)`` roots.  Node
+    ``k`` below twice the number of arrows is the run start of letter
+    ``k``, the node its single letter reaches."""
+
+    letters: list[int]  # the letter id that enters each node
+    succ: list[list[int]]  # each node's successors, in letter-id order
 
 
-def _run_starts(bq: BoundQuiver) -> list[tuple[int, tuple[str, int]]]:
-    """Each letter id with the product node its single letter reaches, in
-    letter-key order."""
+@_per_quiver
+def _letter_graph(bq: BoundQuiver) -> _LetterGraph:
+    """W's letter graph, built once per quiver.  Every letter of W heads a
+    backtrack relation, so on a quadratic quiver W's product node is the
+    letter that entered it, and A's relation partners give its successors:
+    each letter leaving its end but its inverse and, within one run, the
+    partners that would close a relation with it.  Any other quiver numbers
+    the product nodes of :func:`_double`, the run starts first."""
+    n = 2 * len(bq.arrows)
+    if bq._quadratic_states is not None:
+        # the letters leaving each vertex, in letter-id order
+        leaving: dict[str, list[int]] = {v: [] for v in bq.vertices}
+        for i, a in enumerate(bq.arrows):
+            leaving[a.source].append(2 * i)
+            leaving[a.target].append(2 * i + 1)
+        succ: list = [None] * n
+        for out in leaving.values():
+            for k in out:  # k ^ 1 ends where k leaves, and k is its backtrack
+                succ[k ^ 1] = [m for m in out if m != k]
+        # a relation x y bars forward y after forward x, and inverse x after
+        # inverse y; both leave the vertex where x ends and y starts
+        idx = bq.arrow_index
+        after, before = bq._relation_partners
+        for x, ys in after.items():
+            for y in ys:
+                succ[2 * idx[x]].remove(2 * idx[y])
+        for y, xs in before.items():
+            for x in xs:
+                succ[2 * idx[y] + 1].remove(2 * idx[x] + 1)
+        return _LetterGraph(list(range(n)), succ)
     w = _double(bq)
-    return sorted(edge for v in w.vertices for edge in _product_edges(w, (v, 0)))
+    nodes: list = [None] * n  # the product node of each graph node
+    for v in w.vertices:
+        for k, node in _product_edges(w, (v, 0)):
+            nodes[k] = node
+    ids = {node: i for i, node in enumerate(nodes)}
+    letters, succ = list(range(n)), []
+    for node in nodes:  # the list grows while it is read
+        out = []
+        for k, nxt in sorted(_product_edges(w, node)):
+            if nxt not in ids:
+                ids[nxt] = len(nodes)
+                nodes.append(nxt)
+                letters.append(k)
+            out.append(ids[nxt])
+        succ.append(out)
+    return _LetterGraph(letters, succ)
+
+
+def _letter_table(bq: BoundQuiver) -> list[Letter]:
+    """The letter of each letter id."""
+    return [Letter(a.id, inv) for a in bq.arrows for inv in (False, True)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,48 +295,50 @@ def enumerate_strings(bq: BoundQuiver, max_letters: int) -> list[Walk]:
     """All equivalence classes of strings with at most ``max_letters`` letters.
 
     Deterministic order: trivial strings in vertex order, then nontrivial
-    canonical forms sorted by (length, letter keys).  The double quiver's
-    product graph is walked level by level.  Each level holds every
-    nontrivial string of one length with its letters, in key order; the
-    next extends each by its node's edges in letter-id order, so it is in
-    key order too.  A string is emitted when its key is below its
-    inverse's.  Its first letter id and the inverse of its last decide
-    that, and only when they are equal are the full keys compared; a string
-    never equals its inverse, which would need a backtrack in the middle.
+    canonical forms sorted by (length, letter keys).  W's letter graph is
+    walked level by level.  Each level holds every nontrivial string of one
+    length with its letters, in key order; the next extends each by its
+    node's successors in letter-id order, so it is in key order too.  A
+    string is emitted when its key is below its inverse's.  Its first
+    letter id and the inverse of its last decide that, and only when they
+    are equal are the full keys compared; a string never equals its
+    inverse, which would need a backtrack in the middle.
     """
     _require_string_pair(bq)
-    w, table = _double(bq), _letter_table(bq)
-    # each stepped node's edges in letter-id order: (inverse letter id, letter, next node)
-    steps: dict[tuple[str, int], list[tuple[int, tuple[Letter], tuple[str, int]]]] = {}
+    letters, succ = _letter_graph(bq)
+    table = _letter_table(bq)
+    one = [(table[k],) for k in letters]  # each node's letter, as a word
     strings = [Walk((), v) for v in bq.vertices]
-    # entries: (letters, first letter id, inverse id of the last letter, node)
-    level = [((table[k],), k, k ^ 1, node) for k, node in _run_starts(bq)]
+    # a level as parallel lists: each string's letters, first letter id and node
+    n = len(table)
+    words, firsts, nodes = one[:n], range(n), range(n)
     length = 1
-    while level and length <= max_letters:
-        for letters, first, inv_last, _ in level:
+    while words and length <= max_letters:
+        extend = length < max_letters
+        next_words: list[tuple[Letter, ...]] = []
+        next_firsts: list[int] = []
+        next_nodes: list[int] = []
+        for word, first, node in zip(words, firsts, nodes):
+            inv_last = letters[node] ^ 1
             if first < inv_last or (
                 first == inv_last
-                and _walk_key(bq, letters) < _walk_key(bq, Walk(letters).inverse().letters)
+                and _walk_key(bq, word) < _walk_key(bq, Walk(word).inverse().letters)
             ):
-                strings.append(Walk(letters))
-        if length == max_letters:
-            break
-        nxt = []
-        for letters, first, _, node in level:
-            edges = steps.get(node)
-            if edges is None:
-                edges = steps[node] = [
-                    (k ^ 1, (table[k],), n) for k, n in sorted(_product_edges(w, node))
-                ]
-            nxt += [(letters + one, first, inv, n) for inv, one, n in edges]
-        level, length = nxt, length + 1
+                strings.append(Walk(word))
+            if extend:
+                for m in succ[node]:
+                    next_words.append(word + one[m])
+                    next_firsts.append(first)
+                    next_nodes.append(m)
+        words, firsts, nodes = next_words, next_firsts, next_nodes
+        length += 1
     return strings
 
 
 # ---------------------------------------------------------------------------
 # Band existence and representation type
 #
-# A band's powers are all strings, so it is a cycle of the product graph,
+# A band's powers are all strings, so it is a cycle of the letter graph,
 # and conversely.  One-direction cycles are ruled out by the
 # finite-dimensionality precondition, so every cycle changes direction and
 # passes through a run start.
@@ -289,23 +347,25 @@ def enumerate_strings(bq: BoundQuiver, max_letters: int) -> list[Walk]:
 def _find_product_cycle(bq: BoundQuiver, cap: int) -> list[Letter] | None:
     """Shortest letter cycle of at most ``cap`` letters through a run start,
     the earliest one on ties, or None.  Each BFS stops after ``cap`` levels,
-    and a cycle found lowers the cap below its length."""
-    w = _double(bq)
+    and a cycle found lowers the cap below its length.  It steps each
+    node's forward letters before its inverse ones, in W's declaration
+    order, which decides the ties."""
+    letters, succ = _letter_graph(bq)
+    order = [sorted(s, key=lambda m: letters[m] & 1) for s in succ]
     best: list[int] | None = None
-    for first, init in _run_starts(bq):
-        # each reached node with its predecessor and the letter between them
-        parent: dict[tuple[str, int], tuple[tuple[str, int], int]] = {}
+    for init in range(2 * len(bq.arrows)):
+        parent: dict[int, int] = {}  # each reached node's predecessor
         frontier, hit, level = [init], None, 0
         while frontier and hit is None and level < cap:
-            nxt: list[tuple[str, int]] = []
+            nxt: list[int] = []
             for node in frontier:
-                for k, succ in _product_edges(w, node):
-                    if succ == init:
+                for m in order[node]:
+                    if m == init:
                         hit = node
                         break
-                    if succ not in parent:
-                        parent[succ] = (node, k)
-                        nxt.append(succ)
+                    if m not in parent:
+                        parent[m] = node
+                        nxt.append(m)
                 if hit is not None:
                     break
             frontier, level = nxt, level + 1
@@ -313,9 +373,9 @@ def _find_product_cycle(bq: BoundQuiver, cap: int) -> list[Letter] | None:
             continue
         cycle = []
         while hit != init:
-            hit, k = parent[hit]
-            cycle.append(k)
-        best = [first, *reversed(cycle)]
+            cycle.append(letters[hit])
+            hit = parent[hit]
+        best = [init, *reversed(cycle)]
         cap = len(best) - 1
     return None if best is None else [_letter_table(bq)[k] for k in best]
 
@@ -328,21 +388,43 @@ def _primitive_root(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
             return letters[:d]
 
 
+@_per_quiver
 def _band_cycle(bq: BoundQuiver) -> tuple[int, ...] | None:
-    """Letter ids of the double quiver's first relation-free cycle, or None."""
+    """Letter ids around the first cycle of the letter graph that an
+    iterative depth-first search from each run start meets, or None."""
     _require_string_pair(bq)
     require_finite(bq)
-    return _double(bq).relation_free_cycle
+    letters, succ = _letter_graph(bq)
+    seen = [0] * len(succ)  # 0 unseen, 1 on the stack, 2 finished
+    for root in range(2 * len(bq.arrows)):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            node, pending = stack[-1]
+            for m in pending:
+                if seen[m] == 1:
+                    i = next(i for i, entry in enumerate(stack) if entry[0] == m)
+                    return tuple(letters[x] for x, _ in stack[i:])
+                if not seen[m]:
+                    seen[m] = 1
+                    stack.append((m, iter(succ[m])))
+                    break
+            else:
+                seen[node] = 2
+                stack.pop()
+    return None
 
 
 def band_exists(bq: BoundQuiver) -> bool:
-    """True iff the double quiver has a relation-free cycle."""
+    """True iff W's letter graph has a cycle."""
     return _band_cycle(bq) is not None
 
 
 def find_band(bq: BoundQuiver) -> CyclicWalk | None:
     """A shortest-cycle band witness, or None when no band exists.  The
-    double quiver's cycle passes through a run start, so it caps the search.
+    letter graph's first cycle passes through a run start, so it caps the search.
     It is primitive: were it w^m with first letter w₀, the suffix w·w₀ of
     w^m·w₀ ends in the same one-letter state, so w closes a shorter cycle."""
     cycle = _band_cycle(bq)

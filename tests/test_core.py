@@ -294,6 +294,27 @@ def test_automaton_names_the_word_ending_earliest():
     assert FactorAutomaton([("a", "b"), ("x", "a", "b", "c")]).first_factor("xabc") == ("a", "b")
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_quadratic_ideal_membership_reads_the_partner_table(monkeypatch, seed):
+    bq = gen_random_sag(RandomSagSpec(seed=seed, num_vertices=12, num_arrows=18, relation_density=0.6))
+    reference = FactorAutomaton(bq.relations).first_factor
+    built = _count_automata(monkeypatch)
+    rng = random.Random(seed)
+    ids = [a.id for a in bq.arrows]
+    found = 0
+    for _ in range(300):
+        # a word of random arrows, and a path that follows them
+        word = [rng.choice(ids) for _ in range(rng.randint(0, 8))]
+        path = [rng.choice(ids)]
+        while len(path) < 8 and (out := bq.out_arrows[bq.arrow_by_id[path[-1]].target]):
+            path.append(rng.choice(out).id)
+        for w in (tuple(word), tuple(path)):
+            relation = core.word_in_ideal(bq, w)
+            assert relation == reference(w)
+            found += relation is not None
+    assert found > 50 and not built
+
+
 def test_dimension_counts_over_the_edges_the_search_stepped(monkeypatch):
     generated = gen_random_sag(RandomSagSpec(seed=0, num_vertices=20, num_arrows=30))
     fresh = [

@@ -697,14 +697,69 @@ def test_each_node_is_expanded_once(monkeypatch):
         steps.clear()
         expansions.clear()
         enumerate_strings(bq, 10)
-        # a node's edges are stepped the first time it is met and read after
-        firsts = [node for q, node, seen in expansions if not seen]
-        assert 0 < len(firsts) == len(set(firsts))
-        assert all(q is _double(bq) for q, *_ in expansions)
         if bq.relations[0] == ("a0", "a1", "a2"):
+            # the double quiver's node is stepped the first time it is met
+            # and read after
+            firsts = [node for q, node, seen in expansions if not seen]
+            assert 0 < len(firsts) == len(set(firsts))
+            assert all(q is _double(bq) for q, *_ in expansions)
             assert steps and len({s[:3] for s in steps}) == len(steps)
         else:
-            assert not steps
+            # the letter graph comes from the partner table: no product node
+            # of any quiver is stepped
+            assert not expansions and not steps
+
+
+def test_quadratic_walkers_build_no_second_quiver(monkeypatch):
+    quivers = [*_fresh_quivers(), *(gen_random_sag(RandomSagSpec(seed=s)) for s in range(20))]
+    quivers.append(gen_random_sag(RandomSagSpec(seed=3, num_vertices=200, num_arrows=300)))
+    built = []
+
+    def counted(init):
+        def inner(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        return inner
+
+    for cls in (BoundQuiver, FactorAutomaton):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    bands = 0
+    for bq in quivers:
+        enumerate_strings(bq, 6)
+        representation_type(bq)
+        bands += find_band(bq) is not None
+    assert bands > 5 and not built
+    assert not any("strquiv.walks._double" in vars(bq) for bq in quivers)
+
+
+def _assert_numbers_double_product_graph(bq):
+    """The letter graph is the double quiver's product graph, less its
+    ``(v, 0)`` roots, edge for edge: node ``k`` below the letter count is
+    the node letter ``k`` reaches from a root, and each other node the one
+    its first in-edge reaches."""
+    letters, succ = walks._letter_graph(bq)
+    w = _double(bq)
+    n = 2 * len(bq.arrows)
+    node_of = {k: node for v in w.vertices for k, node in core._product_edges(w, (v, 0))}
+    assert sorted(node_of) == list(range(n)) and letters[:n] == list(range(n))
+    for i in range(len(succ)):  # node_of grows while it is read
+        edges = sorted(core._product_edges(w, node_of[i]))
+        assert [letters[j] for j in succ[i]] == [k for k, _ in edges]
+        for j, (_, nxt) in zip(succ[i], edges):
+            assert node_of.setdefault(j, nxt) == nxt
+    assert sorted(node_of) == list(range(len(succ)))
+    assert len(set(node_of.values())) == len(succ)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_letter_graph_numbers_the_double_product_graph(fig1, fig5, seed):
+    quivers = [_random_string_pair(seed), gen_random_sag(RandomSagSpec(seed=seed))]
+    quivers.append(gen_random_sag(RandomSagSpec(seed=seed, num_vertices=20, num_arrows=30)))
+    if seed == 0:
+        quivers += [fig1, fig5, _long_relation_quiver()]
+    for bq in quivers:
+        _assert_numbers_double_product_graph(bq)
 
 
 def _uncapped_product_cycle(bq):
