@@ -2,16 +2,20 @@
 membership, path enumeration and algebra dimension.
 
 A path is "in the ideal" iff it contains some relation as a contiguous
-factor.  Ideal membership, finiteness and path enumeration all run on the
-product of the quiver with a forbidden-factor automaton built from the
-relation set, so relations of any length >= 2 are handled uniformly; when
-all have length 2, the relation-partner table gives the product's edges.
+factor.  Finiteness, dimension and path enumeration all read one graph per
+quiver, the product of the quiver with a forbidden-factor automaton built
+from the relation set, so relations of any length >= 2 are handled
+uniformly.  Its nodes and edges are integers; when all relations have
+length 2, the relation-partner table gives the nodes and edges and no
+automaton is built.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, wraps
-from typing import Callable, Iterable, NamedTuple
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DanglingEndpoint,
@@ -21,10 +25,6 @@ from .errors import (
     NonComposableRelation,
     RelationTooShort,
 )
-
-# product-graph nodes (vertex, automaton state); only _product_edges steps one
-_ProductNode = tuple[str, int]
-_ProductEdge = tuple[str, _ProductNode]
 
 
 class Arrow(NamedTuple):
@@ -140,6 +140,16 @@ class FactorAutomaton:
         return None
 
 
+class _ProductGraph(NamedTuple):
+    """A quiver's product with its forbidden-factor automaton, on integer
+    nodes and edges; see :attr:`BoundQuiver._product_graph`."""
+
+    vertex: list[int]  # each node's vertex number
+    out: list[list[int]]  # each node's edges, in arrow declaration order
+    to: list[int]  # the node each edge enters
+    arrow: Sequence  # the arrow id along each edge
+
+
 class BoundQuiver(Frozen):
     """An immutable pair (quiver, monomial relation set).
 
@@ -171,35 +181,49 @@ class BoundQuiver(Frozen):
     ) -> "BoundQuiver":
         vs = tuple(vertices)
         ars = tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows)
-        seen: set[str] = set()
-        for v in vs:
-            if v in seen:
-                raise DuplicateId(f"duplicate vertex id {v!r}")
-            seen.add(v)
-        for a in ars:
-            if a.id in seen:
-                raise DuplicateId(f"duplicate id {a.id!r}")
-            seen.add(a.id)
-        quiver = cls(vs, ars, tuple(dict.fromkeys(tuple(rel) for rel in relations)))
-        for a in ars:
-            if a.source not in quiver.vertex_index or a.target not in quiver.vertex_index:
-                raise DanglingEndpoint(f"arrow {a.id!r}: undeclared endpoint")
-        for word in quiver.relations:
-            if len(word) < 2:
-                raise RelationTooShort(f"relation {' '.join(word)!r} has length < 2")
-            for x in word:
-                if x not in quiver.arrow_by_id:
-                    raise DanglingEndpoint(f"relation uses unknown arrow {x!r}")
-            for x, y in zip(word, word[1:]):
-                if quiver.arrow_by_id[x].target != quiver.arrow_by_id[y].source:
-                    raise NonComposableRelation(
-                        f"relation {' '.join(word)}: {x} and {y} do not compose"
-                    )
+        quiver = cls(vs, ars, tuple(dict.fromkeys(map(tuple, relations))))
+        # the indices hold every id once, so a repeat or a dangling id shows
+        # in their sizes and keys; the loops below only name the first one
+        index, by_id = quiver.vertex_index, quiver.arrow_by_id
+        if len(index) < len(vs) or len(by_id) < len(ars) or not index.keys().isdisjoint(by_id):
+            seen: set[str] = set()
+            for v in vs:
+                if v in seen:
+                    raise DuplicateId(f"duplicate vertex id {v!r}")
+                seen.add(v)
+            for a in ars:
+                if a.id in seen:
+                    raise DuplicateId(f"duplicate id {a.id!r}")
+                seen.add(a.id)
+        ends = set(map(itemgetter(1), ars))
+        ends.update(map(itemgetter(2), ars))
+        if not index.keys() >= ends:
+            a = next(a for a in ars if a.source not in index or a.target not in index)
+            raise DanglingEndpoint(f"arrow {a.id!r}: undeclared endpoint")
+        rels = quiver.relations
+        lengths = set(map(len, rels))
+        pairs = rels if lengths <= {2} else [p for w in rels for p in zip(w, w[1:])]
+        if (
+            min(lengths, default=2) < 2
+            or not by_id.keys() >= set(chain.from_iterable(rels))
+            or [by_id[x].target for x, _ in pairs] != [by_id[y].source for _, y in pairs]
+        ):
+            for word in rels:
+                if len(word) < 2:
+                    raise RelationTooShort(f"relation {' '.join(word)!r} has length < 2")
+                for x in word:
+                    if x not in by_id:
+                        raise DanglingEndpoint(f"relation uses unknown arrow {x!r}")
+                for x, y in zip(word, word[1:]):
+                    if by_id[x].target != by_id[y].source:
+                        raise NonComposableRelation(
+                            f"relation {' '.join(word)}: {x} and {y} do not compose"
+                        )
         # Drop each generator containing another as a contiguous factor.
         # Every proper factor of a word lies in the word without its first or
         # without its last letter; generators of one length contain none of
         # each other, and then no automaton is built.
-        if len({len(r) for r in quiver.relations}) <= 1:
+        if len(lengths) <= 1:
             return quiver
         find = quiver.automaton.first_factor
         kept = tuple(r for r in quiver.relations if not (find(r[1:]) or find(r[:-1])))
@@ -209,15 +233,15 @@ class BoundQuiver(Frozen):
 
     @cached_property
     def arrow_by_id(self) -> dict[str, Arrow]:
-        return {a.id: a for a in self.arrows}
+        return dict(zip(map(itemgetter(0), self.arrows), self.arrows))
 
     @cached_property
     def vertex_index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+        return dict(zip(self.vertices, range(len(self.vertices))))
 
     @cached_property
     def arrow_index(self) -> dict[str, int]:
-        return {a.id: i for i, a in enumerate(self.arrows)}
+        return dict(zip(map(itemgetter(0), self.arrows), range(len(self.arrows))))
 
     @cached_property
     def out_arrows(self) -> dict[str, tuple[Arrow, ...]]:
@@ -252,29 +276,71 @@ class BoundQuiver(Frozen):
         return after, before
 
     @cached_property
-    def _quadratic_states(self) -> tuple[dict[str, int], list] | None:
-        """None unless every relation has length 2.  Then the state after an
-        arrow is its number among the relation heads, from 1, or 0, and each
-        state bars its arrow's after-partners."""
-        if any(len(r) != 2 for r in self.relations):
-            return None
-        after = self._relation_partners[0]
-        return {x: i for i, x in enumerate(after, 1)}, [(), *after.values()]
+    def _is_quadratic(self) -> bool:
+        """True iff every relation has length 2.  Such a quiver steps its
+        product graph and ideal membership from the relation-partner table
+        and builds no automaton."""
+        return set(map(len, self.relations)) <= {2}
 
     @cached_property
-    def _product_dfs(self) -> tuple[tuple | None, list[_ProductNode]]:
-        """:func:`depth_first` of this quiver, run once."""
-        return depth_first(self)
+    def _product_graph(self) -> _ProductGraph:
+        """The quiver-automaton product graph on integer nodes, built once.
+
+        Node ``i`` below the number of vertices is (vertex ``i``, state 0).
+        On a quadratic quiver an edge is an arrow number, and node
+        ``|Q₀| + h`` is the state after the ``h``-th relation head, in
+        relation order: its edges are the arrows leaving the head's target
+        but the head's after-partners.  Each node's edges come in arrow
+        declaration order.  Any other quiver steps its automaton from the
+        roots and numbers the nodes and edges as it finds them."""
+        n = len(self.vertices)
+        vi = self.vertex_index
+        ids, sources, targets = zip(*self.arrows) if self.arrows else ((), (), ())
+        target = list(map(vi.__getitem__, targets))
+        out: list[list[int]] = [[] for _ in range(n)]
+        for j, v in enumerate(map(vi.__getitem__, sources)):
+            out[v].append(j)
+        if self._is_quadratic:
+            vertex, to = list(range(n)), target.copy()
+            index = self.arrow_index if self.relations else {}
+            for x, y in self.relations:
+                j = index[x]
+                if to[j] == target[j]:  # the first relation headed by x
+                    to[j] = len(out)
+                    vertex.append(target[j])
+                    out.append(out[target[j]].copy())
+                out[to[j]].remove(index[y])
+            return _ProductGraph(vertex, out, to, ids)
+        step = self.automaton.step
+        vertex, state = list(range(n)), [0] * n
+        number = {(v, 0): v for v in range(n)}
+        node_edges: list[list[int]] = []
+        to, labels = [], []
+        for v, s in zip(vertex, state):  # the lists grow while they are read
+            edges = []
+            for j in out[v]:
+                nxt = step(s, ids[j])
+                if nxt is not None:
+                    m = number.setdefault((target[j], nxt), len(vertex))
+                    if m == len(vertex):
+                        vertex.append(target[j])
+                        state.append(nxt)
+                    edges.append(len(to))
+                    to.append(m)
+                    labels.append(ids[j])
+            node_edges.append(edges)
+        return _ProductGraph(vertex, node_edges, to, labels)
 
     @cached_property
-    def _product_table(self) -> dict[_ProductNode, list[_ProductEdge]]:
-        """The edges of each product node stepped so far; see :func:`_product_edges`."""
-        return {}
+    def _product_search(self) -> tuple[list[int] | None, list[int]]:
+        """:func:`_depth_first` of the product graph, run once."""
+        return _depth_first(self._product_graph, len(self.vertices))
 
     @property
     def relation_free_cycle(self) -> tuple[str, ...] | None:
         """Arrows of the first relation-free oriented cycle found, or None."""
-        return self._product_dfs[0]
+        cycle = self._product_search[0]
+        return None if cycle is None else tuple([self._product_graph.arrow[e] for e in cycle])
 
 
 def _per_quiver(fact: Callable) -> Callable:
@@ -310,7 +376,7 @@ def word_in_ideal(bq: BoundQuiver, word: tuple[str, ...]) -> tuple[str, ...] | N
     of two relations ending at one letter, one is a factor of the other, and
     the relations are factor-minimal, so no failure link leads to another.
     A quadratic quiver reads its partner table and builds no automaton."""
-    if bq._quadratic_states is None:
+    if not bq._is_quadratic:
         return bq.automaton.first_factor(word)
     after = bq._relation_partners[0]
     for x, y in zip(word, word[1:]):
@@ -319,54 +385,43 @@ def word_in_ideal(bq: BoundQuiver, word: tuple[str, ...]) -> tuple[str, ...] | N
     return None
 
 
-def depth_first(bq: BoundQuiver) -> tuple[tuple | None, list[_ProductNode]]:
-    """Iterative depth-first search of the quiver-automaton product graph
-    from every ``(v, 0)`` in vertex order, each vertex's arrows in
-    declaration order.  Returns the arrows around the first cycle met, or
-    ``None`` when the graph is acyclic, and the nodes finished so far in
-    post-order (every successor of a node comes before it)."""
-    entered: set[_ProductNode] = set()
-    done: dict[_ProductNode | None, None] = {}  # finished nodes, in post-order
-    # entries: (node, arrow that entered it, iterator over its edges); the
-    # first is a virtual root with an edge to each (v, 0)
-    stack = [(None, None, iter([(None, (v, 0)) for v in bq.vertices]))]
-    while stack:
-        node, _, pending = stack[-1]
-        for x, nxt in pending:
-            if nxt in done:
-                continue
-            if nxt in entered:  # on the stack
-                i = next(i for i, entry in enumerate(stack) if entry[0] == nxt)
-                return tuple(entry[1] for entry in stack[i + 1 :]) + (x,), list(done)
-            entered.add(nxt)
-            stack.append((nxt, x, iter(_product_edges(bq, nxt))))
-            break
-        else:
-            done[node] = None
-            stack.pop()
-    return None, list(done)[:-1]  # all but the virtual root
-
-
-def _product_edges(bq: BoundQuiver, node: _ProductNode) -> list[_ProductEdge]:
-    """The ``(arrow, next node)`` edges out of a product node in arrow
-    declaration order, stepped once per quiver.  A single arrow is never a
-    relation, so each arrow out of ``(v, 0)`` has an edge.  A quadratic
-    quiver steps from its partner table: its automaton's graph, up to the
-    names of the states, with no automaton built."""
-    edges = bq._product_table.get(node)
-    if edges is None:
-        v, state = node
-        edges = bq._product_table[node] = []
-        if quadratic := bq._quadratic_states:
-            heads, barred = quadratic[0], quadratic[1][state]
-            edges += [(a.id, (a.target, heads.get(a.id, 0)))
-                      for a in bq.out_arrows[v] if a.id not in barred]
-        else:
-            for a in bq.out_arrows[v]:
-                nxt = bq.automaton.step(state, a.id)
-                if nxt is not None:
-                    edges.append((a.id, (a.target, nxt)))
-    return edges
+def _depth_first(g: _ProductGraph, roots: int) -> tuple[list[int] | None, list[int]]:
+    """Iterative depth-first search of ``g`` from nodes ``0 .. roots - 1`` in
+    order, each node's edges in order.  Returns the edges around the first
+    cycle met, or ``None`` when the graph is acyclic, and the nodes
+    finished so far in post-order (every successor of a node comes before
+    it)."""
+    out, to = g.out, g.to
+    mark = bytearray(len(out))  # 1 on the stack, 2 finished
+    done: list[int] = []
+    for root in range(roots):
+        if mark[root]:
+            continue
+        mark[root] = 1
+        # the stack as parallel lists: node, edge that entered it, pending edges
+        path, entered, pending = [root], [-1], [iter(out[root])]
+        while path:
+            for e in pending[-1]:
+                m = to[e]
+                if not mark[m]:
+                    if not out[m]:  # a sink finishes at once
+                        mark[m] = 2
+                        done.append(m)
+                        continue
+                    mark[m] = 1
+                    path.append(m)
+                    entered.append(e)
+                    pending.append(iter(out[m]))
+                    break
+                if mark[m] == 1:
+                    return entered[path.index(m) + 1 :] + [e], done
+            else:
+                node = path.pop()
+                mark[node] = 2
+                done.append(node)
+                entered.pop()
+                pending.pop()
+    return None, done
 
 
 def is_finite_dimensional(bq: BoundQuiver) -> bool:
@@ -391,28 +446,40 @@ def enumerate_paths(bq: BoundQuiver, frm: str, to: str) -> list[Path]:
     if frm not in bq.vertex_index or to not in bq.vertex_index:
         raise InvalidPath(f"unknown vertex in ({frm!r}, {to!r})")
     require_finite(bq)  # so some level is empty
+    g = bq._product_graph
+    end = bq.vertex_index[to]
     found: list[Path] = []
-    level: list[tuple[_ProductNode, tuple[str, ...]]] = [((frm, 0), ())]
+    level: list[tuple[int, tuple[str, ...]]] = [(bq.vertex_index[frm], ())]
     while level:
-        found += [Path(word) if word else Path((), to) for node, word in level if node[0] == to]
-        level = [(nxt, word + (x,)) for node, word in level for x, nxt in _product_edges(bq, node)]
+        found += [Path(word) if word else Path((), to) for node, word in level if g.vertex[node] == end]
+        level = [(g.to[e], word + (g.arrow[e],)) for node, word in level for e in g.out[node]]
     return found
 
 
-def _paths_into(bq: BoundQuiver, starts: Iterable[_ProductNode]) -> dict[_ProductNode, int]:
+def _node_after(bq: BoundQuiver, x: str) -> int:
+    """The product node that the single arrow ``x`` enters from its source's root."""
+    g = bq._product_graph
+    root = bq.vertex_index[bq.arrow_by_id[x].source]
+    return next(g.to[e] for e in g.out[root] if g.arrow[e] == x)
+
+
+def _paths_into(bq: BoundQuiver, starts: Iterable[int]) -> list[int]:
     """For each product node, the number of relation-free paths that start at
     a node in ``starts``, counted with repeats, and end there.  Reverse
-    post-order is topological, and the search stepped every node."""
+    post-order is topological, and the search finished every node."""
     require_finite(bq)
-    into = dict.fromkeys(bq._product_dfs[1], 0)
+    g = bq._product_graph
+    out, to = g.out, g.to
+    into = [0] * len(out)
     for node in starts:
         into[node] += 1
-    for node in reversed(into):
-        for _, nxt in bq._product_table[node]:
-            into[nxt] += into[node]
+    for node in reversed(bq._product_search[1]):
+        if k := into[node]:
+            for e in out[node]:
+                into[to[e]] += k
     return into
 
 
 def algebra_dim(bq: BoundQuiver) -> int:
     """Number of relation-free paths, trivial paths included."""
-    return sum(_paths_into(bq, [(v, 0) for v in bq.vertices]).values())
+    return sum(_paths_into(bq, range(len(bq.vertices))))

@@ -18,6 +18,7 @@ walks are wrapped as ``cycle( ... )``.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .core import Arrow, BoundQuiver
@@ -27,11 +28,56 @@ if TYPE_CHECKING:
     from .walks import CyclicWalk, Walk
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_']+")
-# a whole arrow line, stripped: 'id: source -> target'
-_ARROW_LINE = re.compile(r"({0})\s*:\s*({0})\s*->\s*({0})".format(TOKEN_RE.pattern))
+# the lines up to 'arrows:', with the vertex tokens; \s* also skips blank lines
+_HEADER = re.compile(r"\s*quiver[^\S\n]*\n\s*vertices:([^\n]*)\n\s*arrows:[^\S\n]*(?:\n|\Z)")
+# each line of the arrow block, blank or 'id: source -> target'
+_ARROW_BLOCK = re.compile(
+    r"^[^\S\n]*(?:({0})[^\S\n]*:[^\S\n]*({0})[^\S\n]*->[^\S\n]*({0})[^\S\n]*)?$".format(TOKEN_RE.pattern),
+    re.M,
+)
+# tokens and whitespace only
+_TOKEN_BLOCK = re.compile(r"[A-Za-z0-9_'\s]*")
 
 
 def parse_quiver(text: str) -> BoundQuiver:
+    """The quiver of the DSL ``text``.  Its blocks are matched whole; a text
+    they do not match is read line by line, which names the line and
+    column of its first error."""
+    return BoundQuiver.build(*(_read_blocks(text) or _read_lines(text)))
+
+
+def _read_blocks(text: str) -> tuple[list, list, list] | None:
+    """The vertices, arrows and relations of ``text``, or None when one of
+    its blocks does not match: the header, the arrow lines up to the first
+    line that is 'relations:', and the relation lines after it."""
+    if "#" in text:
+        text = re.sub(r"#[^\n]*", "", text)
+    head = _HEADER.match(text)
+    if head is None or not _TOKEN_BLOCK.fullmatch(head[1]):
+        return None
+    start = head.end()
+    stop = rest = len(text)  # where the arrow block ends and the relation block starts
+    at = text.find("relations:", start)
+    if at >= 0:  # on a line, after the header, that must be 'relations:'
+        stop = text.rfind("\n", 0, at) + 1
+        rest = text.find("\n", at)
+        if rest < 0:
+            rest = len(text)
+        if text[stop:at].strip() or text[at + len("relations:") : rest].strip():
+            return None
+    vertices = head[1].split()
+    arrows = _ARROW_BLOCK.findall(text, start, stop)
+    if (not vertices or len(arrows) != text.count("\n", start, stop) + 1
+            or not _TOKEN_BLOCK.fullmatch(text, rest)):
+        return None
+    arrows = list(map(Arrow._make, filter(itemgetter(0), arrows)))  # less the blank lines
+    relations = list(filter(None, map(str.split, text[rest:].split("\n"))))
+    return vertices, arrows, relations
+
+
+def _read_lines(text: str) -> tuple[list, list, list]:
+    """The vertices, arrows and relations of ``text``, read line by line; a
+    malformed line raises ParseError at its line and column."""
     # (line number, line without comment or blanks, line without comment);
     # a column, worked out only for an error, counts from the raw line's start
     lines: list[tuple[int, str, str]] = []
@@ -65,12 +111,9 @@ def parse_quiver(text: str) -> BoundQuiver:
             in_relations = True
         elif in_relations:
             relations.append(_tokens(ln, line, body, "bad token"))
-        elif m := _ARROW_LINE.fullmatch(line):
-            arrows.append(Arrow(*m.groups()))
-        else:  # part by part, to report where the line goes wrong
+        else:
             arrows.append(_parse_arrow_line(ln, line, _col(body)))
-
-    return BoundQuiver.build(vertices, arrows, relations)
+    return vertices, arrows, relations
 
 
 def _col(body: str) -> int:

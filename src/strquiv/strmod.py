@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .core import BoundQuiver, _product_edges, require_finite
+from .core import BoundQuiver, _node_after, require_finite
 from .errors import InvalidWalk, UnknownArrow, UnknownVertex
 from .walks import (
     Letter,
@@ -27,14 +27,15 @@ from .walks import (
 )
 
 
-def _maximal_run_from(bq: BoundQuiver, node: tuple[str, int]) -> list[str]:
+def _maximal_run_from(bq: BoundQuiver, node: int) -> list[str]:
     """Arrows of the greedy relation-free forward extension from the
     product node ``node``.  Under (S2)_R at most one arrow continues a run
     outside the ideal, so the run is maximal."""
+    g = bq._product_graph
     arrows: list[str] = []
-    while edges := _product_edges(bq, node):
-        x, node = edges[0]
-        arrows.append(x)
+    while edges := g.out[node]:
+        arrows.append(g.arrow[edges[0]])
+        node = g.to[edges[0]]
     return arrows
 
 
@@ -48,7 +49,9 @@ def projective_string(bq: BoundQuiver, v: str) -> Walk:
     require_finite(bq)
     if v not in bq.vertex_index:
         raise UnknownVertex(f"unknown vertex {v!r}")
-    branches = [[x] + _maximal_run_from(bq, node) for x, node in _product_edges(bq, (v, 0))]
+    g = bq._product_graph
+    branches = [[g.arrow[e]] + _maximal_run_from(bq, g.to[e])
+                for e in g.out[bq.vertex_index[v]]]
     if not branches:
         return Walk((), v)
     letters = tuple(Letter(x, False) for x in branches[0])
@@ -64,11 +67,9 @@ def arrow_module_string(bq: BoundQuiver, alpha: str) -> Walk:
     require_finite(bq)
     if alpha not in bq.arrow_by_id:
         raise UnknownArrow(f"unknown arrow {alpha!r}")
-    a = bq.arrow_by_id[alpha]
-    node = next(n for x, n in _product_edges(bq, (a.source, 0)) if x == alpha)
-    arrows = _maximal_run_from(bq, node)
+    arrows = _maximal_run_from(bq, _node_after(bq, alpha))
     if not arrows:
-        return Walk((), a.target)
+        return Walk((), bq.arrow_by_id[alpha].target)
     return Walk(tuple(Letter(x, False) for x in arrows))
 
 

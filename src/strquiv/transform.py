@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .classify import classify
-from .core import Arrow, BoundQuiver, Frozen, _paths_into, _product_edges, require_finite
+from .core import Arrow, BoundQuiver, Frozen, _node_after, _paths_into, require_finite
 from .errors import DuplicateId, InvalidWalk, NotLeftForbidden, NotSAG, UnknownArrow
 from .forbidden import perfect_index
 
@@ -206,21 +206,18 @@ def verify_endo_dimension(bq: BoundQuiver, index: RIndex) -> TransformedAlgebraR
     The report builds the split quiver, ``result``, only when it is read."""
     _require_sag_finite(bq)
     index = _checked(bq, index)
-    heads = bq._quadratic_states[0]  # the relation-head number of each arrow
+    g = bq._product_graph
     after = bq._relation_partners[0]
-    tops = [(v, 0) for v in bq.vertices]
-    kernels: dict[str, list[list[str]]] = {}
-    for beta in index.arrows:
-        target = bq.arrow_by_id[beta].target
-        tops.append((target, heads[beta]))
-        kernels.setdefault(target, []).append(after[beta])
-    into = _paths_into(bq, tops)
-    dim_source_endo = dim_transformed = sum(into.values())
-    ends_in_r = {heads[beta] for beta in index.arrows}
-    for node, k in into.items():
-        if node[1] in ends_in_r:
-            dim_transformed += k
-        for killers in kernels.get(node[0], ()):
-            if all(x not in killers for x, _ in _product_edges(bq, node)):
-                dim_source_endo += k
+    heads = [_node_after(bq, beta) for beta in index.arrows]
+    kernels: dict[int, list[list[str]]] = {}  # by the vertex number where β ends
+    for beta, node in zip(index.arrows, heads):
+        kernels.setdefault(g.vertex[node], []).append(after[beta])
+    into = _paths_into(bq, [*range(len(bq.vertices)), *heads])
+    dim_source_endo = sum(into)
+    dim_transformed = dim_source_endo + sum([into[node] for node in heads])
+    if kernels:
+        for node, k in enumerate(into):
+            for killers in kernels.get(g.vertex[node], ()):
+                if all(g.arrow[e] not in killers for e in g.out[node]):
+                    dim_source_endo += k
     return TransformedAlgebraReport._pending(bq, index, dim_source_endo, dim_transformed)

@@ -22,8 +22,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .classify import classify
-from .core import (Arrow, BoundQuiver, Frozen, _per_quiver, _product_edges, require_finite,
-                   word_in_ideal)
+from .core import Arrow, BoundQuiver, Frozen, _per_quiver, require_finite, word_in_ideal
 from .errors import NotStringPair, UnknownArrow
 
 
@@ -242,7 +241,7 @@ def _letter_graph(bq: BoundQuiver) -> _LetterGraph:
     partners that would close a relation with it.  Any other quiver numbers
     the product nodes of :func:`_double`, the run starts first."""
     n = 2 * len(bq.arrows)
-    if bq._quadratic_states is not None:
+    if bq._is_quadratic:
         # the letters leaving each vertex, in letter-id order
         leaving: dict[str, list[int]] = {v: [] for v in bq.vertices}
         for i, a in enumerate(bq.arrows):
@@ -263,16 +262,16 @@ def _letter_graph(bq: BoundQuiver) -> _LetterGraph:
             for x in xs:
                 succ[2 * idx[y] + 1].remove(2 * idx[x] + 1)
         return _LetterGraph(list(range(n)), succ)
-    w = _double(bq)
+    g = _double(bq)._product_graph
     nodes: list = [None] * n  # the product node of each graph node
-    for v in w.vertices:
-        for k, node in _product_edges(w, (v, 0)):
-            nodes[k] = node
+    for root in range(len(bq.vertices)):
+        for e in g.out[root]:
+            nodes[g.arrow[e]] = g.to[e]
     ids = {node: i for i, node in enumerate(nodes)}
     letters, succ = list(range(n)), []
     for node in nodes:  # the list grows while it is read
         out = []
-        for k, nxt in sorted(_product_edges(w, node)):
+        for k, nxt in sorted([(g.arrow[e], g.to[e]) for e in g.out[node]]):
             if nxt not in ids:
                 ids[nxt] = len(nodes)
                 nodes.append(nxt)
@@ -302,7 +301,9 @@ def enumerate_strings(bq: BoundQuiver, max_letters: int) -> list[Walk]:
     string is emitted when its key is below its inverse's.  Its first
     letter id and the inverse of its last decide that, and only when they
     are equal are the full keys compared; a string never equals its
-    inverse, which would need a backtrack in the middle.
+    inverse, which would need a backtrack in the middle.  So the last level
+    keeps only the strings whose first letter id is at most the inverse of
+    their last.
     """
     _require_string_pair(bq)
     letters, succ = _letter_graph(bq)
@@ -315,6 +316,7 @@ def enumerate_strings(bq: BoundQuiver, max_letters: int) -> list[Walk]:
     length = 1
     while words and length <= max_letters:
         extend = length < max_letters
+        last = length + 1 == max_letters  # the next level is the last
         next_words: list[tuple[Letter, ...]] = []
         next_firsts: list[int] = []
         next_nodes: list[int] = []
@@ -327,6 +329,8 @@ def enumerate_strings(bq: BoundQuiver, max_letters: int) -> list[Walk]:
                 strings.append(Walk(word))
             if extend:
                 for m in succ[node]:
+                    if last and first > letters[m] ^ 1:
+                        continue  # it would not be emitted
                     next_words.append(word + one[m])
                     next_firsts.append(first)
                     next_nodes.append(m)

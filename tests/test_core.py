@@ -323,23 +323,22 @@ def test_dimension_counts_over_the_edges_the_search_stepped(monkeypatch):
         # a plain copy, so that no search is cached on it
         BoundQuiver(generated.vertices, generated.arrows, generated.relations),
     ]
-    stepped = []
-    step = core._product_edges
-
-    def counted(bq, node):
-        stepped.append(node)
-        return step(bq, node)
-
-    monkeypatch.setattr(core, "_product_edges", counted)
+    searched, built = [], []
+    search, graph = core._depth_first, core._ProductGraph
+    monkeypatch.setattr(core, "_depth_first", lambda g, roots: searched.append(g) or search(g, roots))
+    monkeypatch.setattr(core, "_ProductGraph", lambda *fields: built.append(graph(*fields)) or built[-1])
     for bq in fresh:
-        stepped.clear()
+        searched.clear()
+        built.clear()
         assert is_finite_dimensional(bq)
-        searched = len(stepped)
+        g = bq._product_graph
+        assert len(built) == len(searched) == 1 and built[0] is searched[0] is g
         dim = algebra_dim(bq)
-        # the count reads the edges the search stored and steps nothing
-        assert len(stepped) == searched
-        assert sorted(stepped) == sorted(bq._product_dfs[1])
-        assert sorted(bq._product_table) == sorted(stepped)
+        # the count reads the graph and the order the search stored, and
+        # builds and searches nothing more
+        assert len(built) == len(searched) == 1
+        # the search finished every node of the graph
+        assert sorted(bq._product_search[1]) == list(range(len(g.out)))
         assert dim == sum(len(enumerate_paths(bq, s, t)) for s in bq.vertices for t in bq.vertices)
 
 

@@ -1,11 +1,13 @@
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strquiv import (
+    BoundQuiver,
     CyclicWalk,
     ParseError,
     QuiverError,
@@ -23,6 +25,8 @@ from strquiv import (
     quiver_to_json,
 )
 from strquiv.dsl import InvalidWalkText
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestParse:
@@ -266,3 +270,74 @@ class TestDot:
         for a in fig5.arrows:
             assert f'label="{a.id}"' in dot
         assert "style=dashed" in dot
+
+
+_TOKEN = re.compile(r"[A-Za-z0-9_']+")
+_SEPARATORS = ["\t", " ", "\x1c", "\u2003"]  # whitespace to str.split and to \s
+
+
+def _reader_mutant(text, rng):
+    """``text`` with one to three of these, at random lines: a comment,
+    CRLF line ends, a space become a tab, an em space or a file separator,
+    one of those at a line's end, a blank line, a repeated 'relations:'
+    line, a missing '->' or a bad token."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        op = rng.randrange(8)
+        if op == 0:
+            lines[i] += rng.choice([" # note", "#", "\t# relations:"])
+        elif op == 1:
+            lines = [line + "\r" for line in lines[:-1]] + lines[-1:]
+        elif op == 2 and " " in line:
+            j = rng.choice([j for j, c in enumerate(line) if c == " "])
+            lines[i] = line[:j] + rng.choice(_SEPARATORS) + line[j + 1 :]
+        elif op == 3:
+            space = rng.choice(_SEPARATORS)
+            lines[i] = rng.choice([space + line, line + space])
+        elif op == 4:
+            lines.insert(i, rng.choice(["", "  ", "\t "]))
+        elif op == 5:
+            lines.insert(lines.index("relations:") + 1 if "relations:" in lines else i, "relations:")
+        elif op == 6:
+            lines[i] = line.replace("->", "", 1)
+        elif op == 7:
+            j = rng.choice([m.start() for m in _TOKEN.finditer(line)] or [0])
+            lines[i] = line[:j] + rng.choice(["!", "é", "-", ":"]) + line[j:]
+    return "\n".join(lines)
+
+
+def _outcome(read, text):
+    """The quiver ``read`` makes of ``text``, or the error it raises."""
+    try:
+        return read(text)
+    except ParseError as err:
+        return "ParseError", err.line, err.col, err.message
+    except QuiverError as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_block_reader_matches_line_reader(seed, fig1, fig5):
+    """parse_quiver, which matches whole blocks, and the line-by-line reader
+    give equal quivers or the same error on mutated texts; the blocks match
+    every text that differs from a fixture only in whitespace and comments."""
+    from strquiv.dsl import _read_blocks, _read_lines
+
+    rng = random.Random(seed)
+    texts = [(FIXTURES / "fig1.quiver").read_text(), (FIXTURES / "fig5.quiver").read_text()]
+    texts += [format_quiver(bq) for bq in (fig1, fig5)]
+    texts += [format_quiver(gen_random_sag(RandomSagSpec(seed=seed * 10 + k, num_vertices=8, num_arrows=12)))
+              for k in range(4)]
+    kinds = set()
+    for text in texts:
+        assert _read_blocks(text) is not None
+        for _ in range(60):
+            mutant = _reader_mutant(text, rng)
+            got = _outcome(parse_quiver, mutant)
+            assert got == _outcome(lambda t: BoundQuiver.build(*_read_lines(t)), mutant), mutant
+            kinds.add(type(got).__name__ if isinstance(got, BoundQuiver) else got[0])
+            if re.sub(r"#[^\n]*|\s", "", mutant) == re.sub(r"#[^\n]*|\s", "", text):
+                assert _read_blocks(mutant) is not None, mutant
+    assert {"BoundQuiver", "ParseError"} <= kinds

@@ -81,8 +81,8 @@ def test_output_is_neither_classified_nor_searched(monkeypatch):
     bq = gen_random_sag(RandomSagSpec(seed=3, num_vertices=20, num_arrows=30))
     assert not classified
     cached = vars(bq)
-    assert "_product_dfs" not in cached
-    assert not cached.get("_product_table")
+    assert "_product_search" not in cached
+    assert "_product_graph" not in cached
     classify(bq)
     assert classified == [bq]  # the spy sees a classification
 

@@ -19,7 +19,7 @@ from strquiv import (
     validate_index,
     verify_endo_dimension,
 )
-from strquiv.core import _paths_into, _product_edges
+from strquiv.core import _node_after, _paths_into
 
 
 def _arrows(bq):
@@ -103,18 +103,19 @@ def test_each_arrow_module_hom_matches_oracle(name, request):
     on a product node with no edge γ out of it, αγ a relation."""
     bq = request.getfixturevalue(name) if isinstance(name, str) else _generated(name)
     arrows = _arrows(bq)
-    tops = {v: (v, 0) for v in bq.vertices}
+    g = bq._product_graph
+    tops = {v: bq.vertex_index[v] for v in bq.vertices}
     reps = {v: O.path_module(arrows, bq.relations, v) for v in bq.vertices}
     for a in bq.arrows:
-        tops[a.id] = next(node for x, node in _product_edges(bq, (a.source, 0)) if x == a.id)
+        tops[a.id] = _node_after(bq, a.id)
         reps[a.id] = O.path_module(arrows, bq.relations, a.target, (a.id,))
     after = bq._relation_partners[0]
     for alpha in sorted(left_forbidden_arrows(bq), key=lambda x: bq.arrow_index[x]):
-        target = bq.arrow_by_id[alpha].target
+        target = bq.vertex_index[bq.arrow_by_id[alpha].target]
         kernel = [
             node
-            for node in bq._product_dfs[1]
-            if node[0] == target and all(x not in after[alpha] for x, _ in _product_edges(bq, node))
+            for node in range(len(g.out))
+            if g.vertex[node] == target and all(g.arrow[e] not in after[alpha] for e in g.out[node])
         ]
         for y, top in tops.items():
             into = _paths_into(bq, [top])

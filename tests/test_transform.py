@@ -368,7 +368,7 @@ def _count_calls(monkeypatch, module_name, name):
 
 
 def test_product_graph_is_searched_once_per_quiver(monkeypatch):
-    calls = _count_calls(monkeypatch, "strquiv.core", "depth_first")
+    calls = _count_calls(monkeypatch, "strquiv.core", "_depth_first")
     bq = _fresh_fig5()
     assert is_finite_dimensional(bq)
     assert algebra_dim(bq) == algebra_dim(bq)
@@ -378,8 +378,17 @@ def test_product_graph_is_searched_once_per_quiver(monkeypatch):
     assert len(calls) == 1
 
 
+def _record_graphs(monkeypatch):
+    """Each product graph built, as it is built."""
+    core = importlib.import_module("strquiv.core")
+    built, graph = [], core._ProductGraph
+    monkeypatch.setattr(core, "_ProductGraph", lambda *fields: built.append(graph(*fields)) or built[-1])
+    return built
+
+
 def test_verify_counts_the_source_paths_in_one_pass(monkeypatch):
-    """Both sides come from one count of A's paths, at R = ∅ and at {a}."""
+    """Both sides come from one count of A's paths, at R = ∅ and at {a},
+    over A's product graph, the only one built and searched."""
     calls = []
     for name in ("strquiv.core", "strquiv.transform"):
         module = importlib.import_module(name)
@@ -389,11 +398,17 @@ def test_verify_counts_the_source_paths_in_one_pass(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(module, "_paths_into", counted)
+    built = _record_graphs(monkeypatch)
+    searches = _count_calls(monkeypatch, "strquiv.core", "_depth_first")
     for arrows in ([], ["a"]):
         calls.clear()
+        built.clear()
+        searches.clear()
         bq = _fresh_fig5()
         report = verify_endo_dimension(bq, validate_index(bq, arrows))
         assert len(calls) == 1 and calls[0][0] is bq
+        assert len(built) == len(searches) == 1
+        assert built[0] is searches[0][0] is bq._product_graph
         assert report.dimensions_match
         if not arrows:
             assert report.dim_transformed == algebra_dim(bq) == 27
@@ -402,22 +417,14 @@ def test_verify_counts_the_source_paths_in_one_pass(monkeypatch):
 @pytest.mark.parametrize("make", [_fresh_fig5, lambda: gen_random_sag(RandomSagSpec(0, 20, 30, 0.4))],
                          ids=["fig5", "gen-20-30"])
 def test_verify_splits_no_quiver_until_the_result_is_read(monkeypatch, make):
-    bq = make()  # generating steps the product graphs of other quivers
+    bq = make()  # generating builds the product graphs of other quivers
     splits = _count_calls(monkeypatch, "strquiv.transform", "_split_quiver")
-    stepped = []
-    for name in ("strquiv.core", "strquiv.transform"):
-        module = importlib.import_module(name)
-
-        def spied(bq, node, original=module._product_edges):
-            stepped.append(bq)
-            return original(bq, node)
-
-        monkeypatch.setattr(module, "_product_edges", spied)
+    built = _record_graphs(monkeypatch)
     index = validate_index(bq, sorted(left_forbidden_arrows(bq), key=bq.arrow_index.get)[:3])
     assert len(index.arrows) == 3
     report = verify_endo_dimension(bq, index)
     assert not splits
-    assert stepped and all(q is bq for q in stepped)
+    assert built and all(g is bq._product_graph for g in built)
     result = report.result
     assert len(splits) == 1
     assert result == r_transform(bq, index) and result.quiver is not bq

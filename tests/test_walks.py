@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import random
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -571,17 +572,15 @@ class TestEnumerateMatchesReference:
 
 def _record_steps(monkeypatch):
     """Record each automaton step as (automaton, state, arrow, caller):
-    the innermost of ``_product_edges`` and ``word_in_ideal`` running, or
-    None; and each call of ``_product_edges`` as (quiver, node, whether the
-    quiver had stepped the node before).  Both are wrapped at every module
-    that binds them."""
-    steps, expansions, callers = [], [], [None]
+    the innermost of a product-graph build and ``word_in_ideal`` running,
+    or None; each product graph built, as its quiver; and each search, as
+    the graph searched.  ``word_in_ideal`` is wrapped at every module that
+    binds it."""
+    steps, builds, searches, callers = [], [], [], [None]
 
-    def wrapped(fn):
+    def wrapped(fn, name):
         def inner(*args):
-            if fn.__name__ == "_product_edges":
-                expansions.append((args[0], args[1], args[1] in args[0]._product_table))
-            callers.append(fn.__name__)
+            callers.append(name)
             try:
                 return fn(*args)
             finally:
@@ -589,11 +588,16 @@ def _record_steps(monkeypatch):
 
         return inner
 
-    for fn in (core._product_edges, core.word_in_ideal):
-        wrapper = wrapped(fn)
-        for name, module in list(sys.modules.items()):
-            if name.startswith("strquiv.") and getattr(module, fn.__name__, None) is fn:
-                monkeypatch.setattr(module, fn.__name__, wrapper)
+    build = wrapped(vars(BoundQuiver)["_product_graph"].func, "_product_graph")
+    prop = cached_property(lambda bq: builds.append(bq) or build(bq))
+    prop.__set_name__(BoundQuiver, "_product_graph")
+    monkeypatch.setattr(BoundQuiver, "_product_graph", prop)
+    wrapper = wrapped(core.word_in_ideal, "word_in_ideal")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("strquiv.") and getattr(module, "word_in_ideal", None) is core.word_in_ideal:
+            monkeypatch.setattr(module, "word_in_ideal", wrapper)
+    search = core._depth_first
+    monkeypatch.setattr(core, "_depth_first", lambda g, roots: searches.append(g) or search(g, roots))
     step = FactorAutomaton.step
 
     def counted(automaton, state, sym):
@@ -601,7 +605,7 @@ def _record_steps(monkeypatch):
         return step(automaton, state, sym)
 
     monkeypatch.setattr(FactorAutomaton, "step", counted)
-    return steps, expansions
+    return steps, builds, searches
 
 
 def _walker_calls(bq):
@@ -660,30 +664,31 @@ def test_quadratic_quivers_build_no_automaton(monkeypatch):
 
 
 def test_each_product_node_is_stepped_once_per_quiver(monkeypatch):
-    steps, expansions = _record_steps(monkeypatch)
+    steps, builds, searches = _record_steps(monkeypatch)
     outputs = {}
     for order in (1, -1):
         outputs[order] = []
         for bq in [*_fresh_quivers(), _long_relation_quiver()]:
             steps.clear()
-            expansions.clear()
+            builds.clear()
+            searches.clear()
             results = {}
             for name, call in list(_walker_calls(bq).items())[::order]:
-                before = len(expansions)
+                before = len(builds), len(searches)
                 results[name] = call()
                 if name == "algebra_dim" and order == 1:
-                    # it counts over the nodes the finiteness search stepped
-                    assert all(seen for *_, seen in expansions[before:])
-            # each node of each product graph is expanded the first time
-            # _product_edges meets it, and read from its table after
-            firsts = [(q, node) for q, node, seen in expansions if not seen]
-            assert firsts and len(set(firsts)) == len(firsts)
+                    # it counts over the graph the finiteness search stored
+                    assert (len(builds), len(searches)) == before
+            # each quiver's product graph is built once, the first time a
+            # walker needs it, and searched at most once
+            assert builds and len({id(q) for q in builds}) == len(builds)
+            assert len({id(g) for g in searches}) == len(searches)
             if all(len(r) == 2 for r in bq.relations):
                 assert not steps  # the partner table steps a quadratic quiver
             else:
-                # only _product_edges steps from a product node; word_in_ideal
+                # only a graph build steps from a product node; word_in_ideal
                 # reads whole words
-                assert all(caller == "_product_edges" for *_, caller in steps)
+                assert all(caller == "_product_graph" for *_, caller in steps)
                 stepped = [s[:3] for s in steps]
                 assert stepped and len(set(stepped)) == len(stepped)
             outputs[order].append(results)
@@ -691,23 +696,21 @@ def test_each_product_node_is_stepped_once_per_quiver(monkeypatch):
 
 
 def test_each_node_is_expanded_once(monkeypatch):
-    steps, expansions = _record_steps(monkeypatch)
+    steps, builds, _ = _record_steps(monkeypatch)
     spec = RandomSagSpec(seed=3, num_vertices=100, num_arrows=150, relation_density=0.4)
     for bq in (gen_random_sag(spec), _long_relation_quiver()):
         steps.clear()
-        expansions.clear()
+        builds.clear()
         enumerate_strings(bq, 10)
         if bq.relations[0] == ("a0", "a1", "a2"):
-            # the double quiver's node is stepped the first time it is met
-            # and read after
-            firsts = [node for q, node, seen in expansions if not seen]
-            assert 0 < len(firsts) == len(set(firsts))
-            assert all(q is _double(bq) for q, *_ in expansions)
+            # the double quiver's product graph is built once, stepping
+            # each of its nodes once
+            assert len(builds) == 1 and builds[0] is _double(bq)
             assert steps and len({s[:3] for s in steps}) == len(steps)
         else:
-            # the letter graph comes from the partner table: no product node
-            # of any quiver is stepped
-            assert not expansions and not steps
+            # the letter graph comes from the partner table: no product
+            # graph of any quiver is built
+            assert not builds and not steps
 
 
 def test_quadratic_walkers_build_no_second_quiver(monkeypatch):
@@ -733,18 +736,28 @@ def test_quadratic_walkers_build_no_second_quiver(monkeypatch):
     assert not any("strquiv.walks._double" in vars(bq) for bq in quivers)
 
 
+def _automaton_edges(q, automaton, node):
+    """The ``(arrow, next node)`` edges out of the node ``(vertex, state)``
+    of ``q``'s product with ``automaton``, in arrow declaration order."""
+    v, state = node
+    return [(a.id, (a.target, nxt)) for a in q.out_arrows[v]
+            if (nxt := automaton.step(state, a.id)) is not None]
+
+
 def _assert_numbers_double_product_graph(bq):
     """The letter graph is the double quiver's product graph, less its
     ``(v, 0)`` roots, edge for edge: node ``k`` below the letter count is
     the node letter ``k`` reaches from a root, and each other node the one
-    its first in-edge reaches."""
+    its first in-edge reaches.  The product graph is stepped here from an
+    automaton of W's relations."""
     letters, succ = walks._letter_graph(bq)
     w = _double(bq)
+    automaton = FactorAutomaton(w.relations)
     n = 2 * len(bq.arrows)
-    node_of = {k: node for v in w.vertices for k, node in core._product_edges(w, (v, 0))}
+    node_of = {k: node for v in w.vertices for k, node in _automaton_edges(w, automaton, (v, 0))}
     assert sorted(node_of) == list(range(n)) and letters[:n] == list(range(n))
     for i in range(len(succ)):  # node_of grows while it is read
-        edges = sorted(core._product_edges(w, node_of[i]))
+        edges = sorted(_automaton_edges(w, automaton, node_of[i]))
         assert [letters[j] for j in succ[i]] == [k for k, _ in edges]
         for j, (_, nxt) in zip(succ[i], edges):
             assert node_of.setdefault(j, nxt) == nxt
